@@ -424,7 +424,7 @@ let engine_bench () =
      machine-independent and guarded against bench/engine_baseline.json
      (regenerate with `dune exec bench/main.exe -- --tables-only` and
      copy the "digest" field). Half the routines get a symbolic outer
-     bound so both adaptive-dispatch regimes occur in the mix. *)
+     bound. *)
   let shard_routines = 1000 in
   let shard_progs =
     let st = Random.State.make [| 0xD09; shard_routines |] in
@@ -455,10 +455,6 @@ let engine_bench () =
       progs
       (Deptest.Analyze.run_all cfg progs);
     Buffer.contents buf
-  in
-  let shard_digest ~jobs ~dispatch =
-    let cfg = Deptest.Analyze.Config.make ~jobs ~dispatch ~cache:false () in
-    Digest.to_hex (Digest.string (render_all cfg shard_progs))
   in
   let shard_setting jobs =
     (* one instrumented pass for the digest and the per-worker
@@ -491,14 +487,6 @@ let engine_bench () =
   let shard_identical =
     List.for_all (fun (_, d, _, _, _) -> d = shard_digest0) shard_runs
   in
-  (* dispatch is an engine knob, never a semantic one: forcing either
-     evaluator must reproduce the auto digest *)
-  let max_jobs = List.fold_left max 1 jobs in
-  let dispatch_parity =
-    List.for_all
-      (fun d -> shard_digest ~jobs:max_jobs ~dispatch:d = shard_digest0)
-      [ Deptest.Banerjee.Reference; Deptest.Banerjee.Incremental ]
-  in
   Printf.printf
     "\n== engine: sharded corpus (%d generated routines, min of %d) ==\n"
     shard_routines repeat;
@@ -522,8 +510,6 @@ let engine_bench () =
     shard_runs;
   Printf.printf "  output digest identical across jobs settings: %b\n"
     shard_identical;
-  Printf.printf "  forced reference/incremental reproduce the auto digest: %b\n"
-    dispatch_parity;
   let baseline_digest =
     if Sys.file_exists "bench/engine_baseline.json" then
       match Dt_obs.Json.of_string (read_file "bench/engine_baseline.json") with
@@ -544,83 +530,6 @@ let engine_bench () =
         Printf.printf "  digest vs bench/engine_baseline.json: %s\n"
           (if b = shard_digest0 then "match" else "MISMATCH");
         Some (b = shard_digest0)
-  in
-  (* dispatch calibration: ns/query for each evaluator across the nest
-     shapes the [Banerjee.select] threshold discriminates on (depth x
-     symbolic bounds). The printed table is the evidence behind the
-     depth>=3-or-symbolic cutover. *)
-  (* every iteration gets a structurally distinct pair (fresh additive
-     constant), so the incremental evaluator pays its kernel compilation
-     each time — exactly the shape the analyzer sees, where each new
-     reference pair compiles once *)
-  let calib_iters = 200 in
-  let calib_queries depth ~symbolic =
-    let ixs =
-      List.init depth (fun k ->
-          Index.make (Printf.sprintf "X%d" k) ~depth:k)
-    in
-    let loops =
-      List.mapi
-        (fun k i ->
-          let hi =
-            if symbolic && k = 0 then Affine.of_sym "N" else Affine.const 8
-          in
-          Loop.make i ~lo:(Affine.const 1) ~hi)
-        ixs
-    in
-    let assume = Deptest.Assume.add_loop_facts Deptest.Assume.empty loops in
-    let range = Deptest.Range.compute loops in
-    let sum =
-      List.fold_left (fun acc i -> Affine.add acc (av i)) Affine.zero ixs
-    in
-    let mk_pairs () =
-      Array.init calib_iters (fun k ->
-          [ Spair.make sum (Affine.add_const (-1 - k) sum) ])
-    in
-    (assume, range, mk_pairs, ixs)
-  in
-  let time_eval ~dispatch (assume, range, mk_pairs, ixs) =
-    let best = ref Int64.max_int in
-    for _ = 1 to repeat do
-      (* fresh pairs each repeat: the per-pair kernel cache starts cold,
-         so every repeat pays compilation like a fresh reference pair *)
-      let pairs = mk_pairs () in
-      let t0 = Dt_obs.Metrics.now_ns () in
-      Array.iter
-        (fun ps ->
-          ignore (Deptest.Banerjee.vectors ~dispatch assume range ps
-                    ~indices:ixs))
-        pairs;
-      let t1 = Dt_obs.Metrics.now_ns () in
-      let dt = Int64.sub t1 t0 in
-      if Int64.compare dt !best < 0 then best := dt
-    done;
-    Int64.to_float !best /. float_of_int calib_iters
-  in
-  let calib_cells =
-    [ (1, false); (2, false); (2, true); (3, false); (3, true) ]
-  in
-  Printf.printf "\n== engine: dispatch calibration (ns/query, min of %d) ==\n"
-    repeat;
-  let calib_rows =
-    List.map
-      (fun (depth, symbolic) ->
-        let q = calib_queries depth ~symbolic in
-        let inc = time_eval ~dispatch:Deptest.Banerjee.Incremental q in
-        let refl = time_eval ~dispatch:Deptest.Banerjee.Reference q in
-        let symbols = if symbolic then 1 else 0 in
-        let auto =
-          match Deptest.Banerjee.select ~depth ~symbols with
-          | Deptest.Banerjee.Incremental -> "incremental"
-          | Deptest.Banerjee.Reference -> "reference"
-          | Deptest.Banerjee.Auto -> "auto"
-        in
-        Printf.printf
-          "  depth=%d symbolic=%-5b incremental %8.0f   reference %8.0f   \
-           auto->%s\n"
-          depth symbolic inc refl auto;
-        (depth, symbols, inc, refl, auto))
-      calib_cells
   in
   let cores = Dt_support.Pool.recommended_jobs () in
   if cores = 1 then
@@ -646,8 +555,7 @@ let engine_bench () =
         ("jobs_auto_clamped", Dt_obs.Json.Bool jobs_clamped);
         ("cache_hit_rate", Dt_obs.Json.Float overall_hit_rate);
         ( "identical_output",
-          Dt_obs.Json.Bool
-            (identical && synth_identical && shard_identical && dispatch_parity)
+          Dt_obs.Json.Bool (identical && synth_identical && shard_identical)
         );
         ( "sharded",
           Dt_obs.Json.Obj
@@ -659,7 +567,6 @@ let engine_bench () =
                 match baseline_match with
                 | None -> Dt_obs.Json.Null
                 | Some b -> Dt_obs.Json.Bool b );
-              ("dispatch_parity", Dt_obs.Json.Bool dispatch_parity);
               ( "runs",
                 Dt_obs.Json.List
                   (List.map
@@ -690,19 +597,6 @@ let engine_bench () =
                          ])
                      shard_runs) );
             ] );
-        ( "calibration",
-          Dt_obs.Json.List
-            (List.map
-               (fun (depth, symbols, inc, refl, auto) ->
-                 Dt_obs.Json.Obj
-                   [
-                     ("depth", Dt_obs.Json.Int depth);
-                     ("symbols", Dt_obs.Json.Int symbols);
-                     ("incremental_ns", Dt_obs.Json.Float inc);
-                     ("reference_ns", Dt_obs.Json.Float refl);
-                     ("auto", Dt_obs.Json.String auto);
-                   ])
-               calib_rows) );
         ( "synthetic",
           Dt_obs.Json.Obj
             [
@@ -740,11 +634,9 @@ let engine_bench () =
   Dt_obs.Artifact.write_atomic "BENCH_engine.json"
     (Dt_obs.Json.to_string json ^ "\n");
   print_endline "engine benchmark written to BENCH_engine.json";
-  if not (identical && synth_identical && shard_identical && dispatch_parity)
-  then begin
+  if not (identical && synth_identical && shard_identical) then begin
     prerr_endline
-      "bench: FATAL: analysis output differs across jobs/cache/dispatch \
-       settings";
+      "bench: FATAL: analysis output differs across jobs/cache settings";
     exit 1
   end;
   if baseline_match = Some false then begin
@@ -757,12 +649,11 @@ let engine_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* Banerjee kernel benchmark: the incremental compiled evaluator against
-   the from-scratch Reference. Two legs — the whole corpus through the
-   analyzer (cache off so Banerjee actually runs) and direct hierarchy
-   queries on synthetic deep-MIV nests where the DFS dominates. Always
-   runs (CI guards the ns/node figure against bench/banerjee_baseline.json);
-   writes BENCH_banerjee.json and exits 1 if the two evaluators ever
-   render different output. *)
+   the from-scratch Reference, on direct hierarchy queries over synthetic
+   deep-MIV nests where the DFS dominates. Always runs (CI guards the
+   ns/node figure against bench/banerjee_baseline.json); writes
+   BENCH_banerjee.json and exits 1 if the two evaluators ever render
+   different output. *)
 
 type bj_leg = {
   bj_ns : int64;          (* best-of-repeat wall clock for one pass *)
@@ -772,38 +663,33 @@ type bj_leg = {
   bj_out : string;        (* rendered verdicts, for the identity check *)
 }
 
-let bj_measure ~reference ~repeat run_once =
-  let saved = !Deptest.Banerjee.use_reference in
-  Fun.protect
-    ~finally:(fun () -> Deptest.Banerjee.use_reference := saved)
-    (fun () ->
-      Deptest.Banerjee.use_reference := reference;
-      (* instrumented pass: output, node count, cap fallbacks *)
-      let m = Dt_obs.Metrics.create () in
-      let out = run_once m in
-      let nodes =
-        Dt_obs.Metrics.banerjee_incremental_nodes m
-        + Dt_obs.Metrics.banerjee_scratch_nodes m
-      in
-      let caps = Dt_obs.Metrics.banerjee_caps m in
-      (* allocation pass, bracketed by the minor-words counter (both
-         evaluators pay the same harness overhead, so the ratio is the
-         per-node story) *)
-      let w0 = Gc.minor_words () in
-      ignore (run_once (Dt_obs.Metrics.create ()));
-      let w1 = Gc.minor_words () in
-      (* timed passes, best-of-repeat *)
-      let best = ref Int64.max_int in
-      for _ = 1 to repeat do
-        let mt = Dt_obs.Metrics.create () in
-        let t0 = Dt_obs.Metrics.now_ns () in
-        ignore (run_once mt);
-        let t1 = Dt_obs.Metrics.now_ns () in
-        let dt = Int64.sub t1 t0 in
-        if Int64.compare dt !best < 0 then best := dt
-      done;
-      { bj_ns = !best; bj_nodes = nodes; bj_minor_words = w1 -. w0;
-        bj_caps = caps; bj_out = out })
+let bj_measure ~repeat run_once =
+  (* instrumented pass: output, node count, cap fallbacks *)
+  let m = Dt_obs.Metrics.create () in
+  let out = run_once m in
+  let nodes =
+    Dt_obs.Metrics.banerjee_incremental_nodes m
+    + Dt_obs.Metrics.banerjee_scratch_nodes m
+  in
+  let caps = Dt_obs.Metrics.banerjee_caps m in
+  (* allocation pass, bracketed by the minor-words counter (both
+     evaluators pay the same harness overhead, so the ratio is the
+     per-node story) *)
+  let w0 = Gc.minor_words () in
+  ignore (run_once (Dt_obs.Metrics.create ()));
+  let w1 = Gc.minor_words () in
+  (* timed passes, best-of-repeat *)
+  let best = ref Int64.max_int in
+  for _ = 1 to repeat do
+    let mt = Dt_obs.Metrics.create () in
+    let t0 = Dt_obs.Metrics.now_ns () in
+    ignore (run_once mt);
+    let t1 = Dt_obs.Metrics.now_ns () in
+    let dt = Int64.sub t1 t0 in
+    if Int64.compare dt !best < 0 then best := dt
+  done;
+  { bj_ns = !best; bj_nodes = nodes; bj_minor_words = w1 -. w0;
+    bj_caps = caps; bj_out = out }
 
 (* synthetic hierarchy queries: deep constant-bound MIV nests (where the
    '*'-hierarchy is largest), a coefficient-varying pair, a triangular
@@ -849,11 +735,16 @@ let bj_queries () =
       ~src_k:(fun _ -> 1) ~snk_k:(fun _ -> 1) ~delta:(-1);
   ]
 
-let bj_render_queries m queries =
+let bj_render_queries ~reference m queries =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (name, assume, range, pairs, ixs) ->
-      let v = Deptest.Banerjee.vectors ~metrics:m assume range pairs ~indices:ixs in
+      let v =
+        if reference then
+          Deptest.Banerjee.Reference.vectors ~metrics:m assume range pairs
+            ~indices:ixs
+        else Deptest.Banerjee.vectors ~metrics:m assume range pairs ~indices:ixs
+      in
       Buffer.add_string buf name;
       Buffer.add_string buf ": ";
       (match v with
@@ -867,6 +758,14 @@ let bj_render_queries m queries =
       Buffer.add_char buf '\n')
     queries;
   Buffer.contents buf
+
+(* both evaluators over the synthetic queries: (incremental, reference) *)
+let bj_measure_both ~repeat =
+  let queries = bj_queries () in
+  let measure ~reference =
+    bj_measure ~repeat (fun m -> bj_render_queries ~reference m queries)
+  in
+  (measure ~reference:false, measure ~reference:true)
 
 let bj_leg_json leg =
   let npn =
@@ -889,70 +788,47 @@ let bj_leg_json leg =
 
 let banerjee_bench () =
   let repeat = engine_repeat () in
-  let progs =
-    List.concat_map
-      (fun (e : Dt_workloads.Corpus.entry) -> Dt_workloads.Corpus.programs e)
-      Dt_workloads.Corpus.all
-  in
-  let corpus_once m =
-    let cfg = Deptest.Analyze.Config.make ~jobs:1 ~cache:false ~metrics:m () in
-    render_deps cfg progs
-  in
-  let queries = bj_queries () in
-  let synth_once m = bj_render_queries m queries in
-  let legs name run_once =
-    let inc = bj_measure ~reference:false ~repeat run_once in
-    let refl = bj_measure ~reference:true ~repeat run_once in
-    let inc_npn, inc_wpn, inc_json = bj_leg_json inc in
-    let ref_npn, ref_wpn, ref_json = bj_leg_json refl in
-    let identical = inc.bj_out = refl.bj_out in
-    let speedup = if inc_npn > 0.0 then ref_npn /. inc_npn else 0.0 in
-    let alloc_ratio = if inc_wpn > 0.0 then ref_wpn /. inc_wpn else 0.0 in
-    Printf.printf "  %-10s incremental %8.1f ns/node %10.1f words/node (%d nodes)\n"
-      name inc_npn inc_wpn inc.bj_nodes;
-    Printf.printf "  %-10s reference   %8.1f ns/node %10.1f words/node (%d nodes)\n"
-      "" ref_npn ref_wpn refl.bj_nodes;
-    Printf.printf
-      "  %-10s %.2fx ns/node, %.2fx words/node, outputs identical: %b\n" ""
-      speedup alloc_ratio identical;
-    ( identical,
-      inc,
-      Dt_obs.Json.Obj
-        [
-          ("incremental", inc_json);
-          ("reference", ref_json);
-          ("identical_output", Dt_obs.Json.Bool identical);
-          ("speedup_ns_per_node", Dt_obs.Json.Float speedup);
-          ("alloc_ratio_words_per_node", Dt_obs.Json.Float alloc_ratio);
-        ],
-      (inc_npn, speedup, alloc_ratio) )
-  in
-  Printf.printf "\n== banerjee: incremental kernel vs from-scratch (min of %d) ==\n"
+  let inc, refl = bj_measure_both ~repeat in
+  let inc_npn, inc_wpn, inc_json = bj_leg_json inc in
+  let ref_npn, ref_wpn, ref_json = bj_leg_json refl in
+  let identical = inc.bj_out = refl.bj_out in
+  let speedup = if inc_npn > 0.0 then ref_npn /. inc_npn else 0.0 in
+  let alloc_ratio = if inc_wpn > 0.0 then ref_wpn /. inc_wpn else 0.0 in
+  Printf.printf
+    "\n== banerjee: incremental kernel vs from-scratch (synthetic, min of %d) ==\n"
     repeat;
-  let c_ok, _c_inc, c_json, _ = legs "corpus" corpus_once in
-  let s_ok, s_inc, s_json, (s_npn, s_speedup, s_alloc) =
-    legs "synthetic" synth_once
-  in
+  Printf.printf "  incremental %8.1f ns/node %10.1f words/node (%d nodes)\n"
+    inc_npn inc_wpn inc.bj_nodes;
+  Printf.printf "  reference   %8.1f ns/node %10.1f words/node (%d nodes)\n"
+    ref_npn ref_wpn refl.bj_nodes;
+  Printf.printf "  %.2fx ns/node, %.2fx words/node, outputs identical: %b\n"
+    speedup alloc_ratio identical;
   let json =
     Dt_obs.Json.Obj
       [
         ("schema", Dt_obs.Json.String "deptest-banerjee/1");
         ("repeat", Dt_obs.Json.Int repeat);
-        ("corpus", c_json);
-        ("synthetic", s_json);
-        (* headline figures (synthetic leg, where the DFS dominates the
-           measurement): these are what CI guards *)
-        ("ns_per_node", Dt_obs.Json.Float s_npn);
-        ("speedup_ns_per_node", Dt_obs.Json.Float s_speedup);
-        ("alloc_ratio_words_per_node", Dt_obs.Json.Float s_alloc);
-        ("combo_cap_fallbacks", Dt_obs.Json.Int s_inc.bj_caps);
-        ("identical_output", Dt_obs.Json.Bool (c_ok && s_ok));
+        ( "synthetic",
+          Dt_obs.Json.Obj
+            [
+              ("incremental", inc_json);
+              ("reference", ref_json);
+              ("identical_output", Dt_obs.Json.Bool identical);
+              ("speedup_ns_per_node", Dt_obs.Json.Float speedup);
+              ("alloc_ratio_words_per_node", Dt_obs.Json.Float alloc_ratio);
+            ] );
+        (* headline figures: these are what CI guards *)
+        ("ns_per_node", Dt_obs.Json.Float inc_npn);
+        ("speedup_ns_per_node", Dt_obs.Json.Float speedup);
+        ("alloc_ratio_words_per_node", Dt_obs.Json.Float alloc_ratio);
+        ("combo_cap_fallbacks", Dt_obs.Json.Int inc.bj_caps);
+        ("identical_output", Dt_obs.Json.Bool identical);
       ]
   in
   Dt_obs.Artifact.write_atomic "BENCH_banerjee.json"
     (Dt_obs.Json.to_string json ^ "\n");
   print_endline "banerjee benchmark written to BENCH_banerjee.json";
-  if not (c_ok && s_ok) then begin
+  if not identical then begin
     prerr_endline
       "bench: FATAL: incremental and reference Banerjee evaluators disagree";
     exit 1
@@ -1026,10 +902,7 @@ let guard_reasons m =
 
 let guard_bench () =
   let repeat = engine_repeat () in
-  let queries = bj_queries () in
-  let synth_once m = bj_render_queries m queries in
-  let inc = bj_measure ~reference:false ~repeat synth_once in
-  let refl = bj_measure ~reference:true ~repeat synth_once in
+  let inc, refl = bj_measure_both ~repeat in
   let inc_npn, _, _ = bj_leg_json inc in
   let ref_npn, _, _ = bj_leg_json refl in
   let baseline_npn =

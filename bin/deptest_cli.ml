@@ -104,22 +104,6 @@ let jobs_arg =
            default) means one per available core. The analysis result is \
            identical at every setting.")
 
-let dispatch_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("auto", Deptest.Banerjee.Auto);
-             ("incremental", Deptest.Banerjee.Incremental);
-             ("reference", Deptest.Banerjee.Reference) ])
-        Deptest.Banerjee.Auto
-    & info [ "dispatch" ]
-        ~doc:
-          "Banerjee evaluator dispatch: $(b,auto) (pick per query from the \
-           nest shape), $(b,incremental) (compiled kernels), or \
-           $(b,reference) (the from-scratch oracle). Verdicts are identical \
-           at every setting; only the wall clock changes.")
-
 let no_cache_arg =
   Arg.(
     value & flag
@@ -265,9 +249,9 @@ let ledger_window_arg =
              Dt_report.Ledger.default_keep))
 
 let analyze_cmd =
-  let run file strategy inputs bindings explain trace_file jobs dispatch
-      no_cache strict budget deadline_ms chrome flame prom ledger
-      ledger_window label =
+  let run file strategy inputs bindings explain trace_file jobs no_cache
+      strict budget deadline_ms chrome flame prom ledger ledger_window label
+      =
     let profiler = make_profiler chrome flame in
     let trace_buf =
       match trace_file with None -> None | Some _ -> Some (Buffer.create 4096)
@@ -293,8 +277,8 @@ let analyze_cmd =
     routines := List.length progs;
     let cfg ?sink () =
       Deptest.Analyze.Config.make ~strategy ~include_inputs:inputs ~jobs
-        ~dispatch ~cache:(not no_cache) ?metrics ?sink ?profiler ?budget
-        ?deadline_ms ()
+        ~cache:(not no_cache) ?metrics ?sink ?profiler ?budget ?deadline_ms
+        ()
     in
     let analyzed =
       if explain || trace_buf <> None then
@@ -398,9 +382,9 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Print all data dependences of a program")
     Term.(
       const run $ file_arg $ strategy_arg $ inputs_arg $ bind_arg
-      $ explain_arg $ trace_arg $ jobs_arg $ dispatch_arg $ no_cache_arg
-      $ strict_arg $ budget_arg $ deadline_arg $ chrome_arg $ flame_arg
-      $ prom_arg $ ledger_arg $ ledger_window_arg $ label_arg)
+      $ explain_arg $ trace_arg $ jobs_arg $ no_cache_arg $ strict_arg
+      $ budget_arg $ deadline_arg $ chrome_arg $ flame_arg $ prom_arg
+      $ ledger_arg $ ledger_window_arg $ label_arg)
 
 let parallel_cmd =
   let run file =
@@ -584,8 +568,7 @@ let profile_cmd =
         Format.printf "%a@." Dt_obs.Diff.pp report;
         if Dt_obs.Diff.has_breach report then exit 1
   in
-  let run file strategy json jobs dispatch diff_base threshold min_ns chrome
-      flame =
+  let run file strategy json jobs diff_base threshold min_ns chrome flame =
     match diff_base with
     | Some base ->
         (* diff mode: FILE is the *current* metrics snapshot, not a
@@ -602,8 +585,8 @@ let profile_cmd =
            --jobs exercises the parallel engine (per-domain busy / wait
            accounting, one timeline row per worker). *)
         let cfg =
-          Deptest.Analyze.Config.make ~strategy ~jobs ~dispatch ~cache:false
-            ~metrics ?profiler ()
+          Deptest.Analyze.Config.make ~strategy ~jobs ~cache:false ~metrics
+            ?profiler ()
         in
         let progs =
           Dt_obs.Span.with_ main_buf Dt_obs.Span.Parse (fun () ->
@@ -669,8 +652,7 @@ let profile_cmd =
           two metrics snapshots for regressions")
     Term.(
       const run $ file_arg $ strategy_arg $ json_arg $ profile_jobs_arg
-      $ dispatch_arg $ diff_arg $ threshold_arg $ min_ns_arg $ chrome_arg
-      $ flame_arg)
+      $ diff_arg $ threshold_arg $ min_ns_arg $ chrome_arg $ flame_arg)
 
 let corpus_cmd =
   let run () =

@@ -10,7 +10,6 @@ module Config = struct
     assume : Assume.t;
     jobs : int;  (* 0 = auto *)
     grain : int;  (* splitting leaf size, 0 = auto *)
-    dispatch : Banerjee.dispatch;
     cache : Pair_cache.t option;
     metrics : Dt_obs.Metrics.t option;
     sink : Dt_obs.Trace.sink option;
@@ -20,16 +19,14 @@ module Config = struct
   }
 
   let make ?(strategy = Pair_test.Partition_based) ?(include_inputs = false)
-      ?(assume = Assume.empty) ?(jobs = 0) ?(grain = 0)
-      ?(dispatch = Banerjee.Auto) ?(cache = true) ?cache_capacity ?disk
-      ?metrics ?sink ?profiler ?budget ?deadline_ms () =
+      ?(assume = Assume.empty) ?(jobs = 0) ?(grain = 0) ?(cache = true)
+      ?cache_capacity ?disk ?metrics ?sink ?profiler ?budget ?deadline_ms () =
     {
       strategy;
       include_inputs;
       assume;
       jobs;
       grain;
-      dispatch;
       cache =
         (if cache then
            Some (Pair_cache.create ?capacity:cache_capacity ?disk ())
@@ -47,7 +44,6 @@ module Config = struct
   let with_assume assume t = { t with assume }
   let with_jobs jobs t = { t with jobs }
   let with_grain grain t = { t with grain }
-  let with_dispatch dispatch t = { t with dispatch }
 
   let with_cache on t =
     { t with cache = (if on then Some (Pair_cache.create ()) else None) }
@@ -63,7 +59,6 @@ module Config = struct
   let assume t = t.assume
   let jobs t = t.jobs
   let grain t = t.grain
-  let dispatch t = t.dispatch
   let budget t = t.budget
   let deadline_ms t = t.deadline_ms
   let cache_enabled t = t.cache <> None
@@ -213,7 +208,6 @@ type tctx = {
   cfacts : string;  (* assume-facts digest of the cache key, "" if no cache *)
   ctag : string;
   cfuel : int option;
-  cdispatch : Banerjee.dispatch;
   csink : Dt_obs.Trace.sink option;
   cdeadline : int64 option;
 }
@@ -233,7 +227,6 @@ let ctx_of (cfg : Config.t) ~deadline_ns =
       | None -> "");
     ctag = strategy_tag cfg.Config.strategy;
     cfuel = cfg.Config.budget;
-    cdispatch = cfg.Config.dispatch;
     csink = cfg.Config.sink;
     cdeadline = deadline_ns;
   }
@@ -310,9 +303,8 @@ let test_one ctx (w : worker) ~counters site =
             match ctx.ccache with
             | None ->
                 Pair_test.test ~counters ?metrics:w.metrics ?sink:ctx.csink
-                  ?spans:w.spans ?budget ~dispatch:ctx.cdispatch
-                  ~scratch:w.scratch ~strategy:ctx.cstrategy
-                  ~assume:ctx.cassume
+                  ?spans:w.spans ?budget ~scratch:w.scratch
+                  ~strategy:ctx.cstrategy ~assume:ctx.cassume
                   ~src:(a1.Stmt.aref, loops1)
                   ~snk:(a2.Stmt.aref, loops2)
                   ()
@@ -343,8 +335,8 @@ let test_one ctx (w : worker) ~counters site =
                     let r =
                       Pair_test.test ~counters:local ?metrics:w.metrics
                         ?sink:ctx.csink ?spans:w.spans ?budget
-                        ~dispatch:ctx.cdispatch ~scratch:w.scratch
-                        ~strategy:ctx.cstrategy ~assume:ctx.cassume
+                        ~scratch:w.scratch ~strategy:ctx.cstrategy
+                        ~assume:ctx.cassume
                         ~src:(a1.Stmt.aref, loops1)
                         ~snk:(a2.Stmt.aref, loops2)
                         ()

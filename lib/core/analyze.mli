@@ -6,18 +6,17 @@
 
     {!run} analyzes one routine; {!run_all} shards a routine corpus
     across the same work-stealing pool. {!Config} bundles every knob.
-    Parallelism, caching and evaluator dispatch are engine concerns,
-    never semantic ones: for a fixed program and configuration
-    semantics, [run] returns the same {!result} (same [deps], same
-    ordering) at every [jobs] / [grain] / [dispatch] setting and with
-    the cache on or off. *)
+    Parallelism and caching are engine concerns, never semantic ones:
+    for a fixed program and configuration semantics, [run] returns the
+    same {!result} (same [deps], same ordering) at every [jobs] /
+    [grain] setting and with the cache on or off. *)
 
 open Dt_ir
 
 (** Analysis configuration: the testing strategy and symbolic facts
-    (semantics), the engine knobs (worker count, splitting grain,
-    Banerjee evaluator dispatch, memo cache), and the observability
-    outputs (metrics registry, trace sink) in one value.
+    (semantics), the engine knobs (worker count, splitting grain, memo
+    cache), and the observability outputs (metrics registry, trace sink)
+    in one value.
 
     A configuration [make ~cache:true] owns its memo cache: reusing the
     same [Config.t] across several {!run} calls shares the cache, so a
@@ -32,7 +31,6 @@ module Config : sig
     ?assume:Assume.t ->
     ?jobs:int ->
     ?grain:int ->
-    ?dispatch:Banerjee.dispatch ->
     ?cache:bool ->
     ?cache_capacity:int ->
     ?disk:Dt_engine.Store.t ->
@@ -48,11 +46,10 @@ module Config : sig
       nests — fewer than ~256 reference pairs, where a Domain spawn
       would cost more than the testing work — run sequentially),
       [grain = 0] (auto leaf size for the pool's lazy binary split),
-      [dispatch = Banerjee.Auto] (per-query evaluator selection from the
-      nest shape), cache on and unbounded ([cache_capacity] bounds its
-      resident entries with FIFO eviction), no metrics, no sink, no
-      profiler, no budget, no deadline. An explicit [jobs >= 1] is
-      honored literally. A trace sink forces sequential execution — a
+      cache on and unbounded ([cache_capacity] bounds its resident
+      entries with FIFO eviction), no metrics, no sink, no profiler, no
+      budget, no deadline. An explicit [jobs >= 1] is honored
+      literally. A trace sink forces sequential execution — a
       trace is an ordered narrative. A profiler does {e not} constrain
       the schedule: each worker domain records into its own span buffer
       and the buffers merge deterministically afterwards (see
@@ -85,7 +82,6 @@ module Config : sig
   val with_assume : Assume.t -> t -> t
   val with_jobs : int -> t -> t
   val with_grain : int -> t -> t
-  val with_dispatch : Banerjee.dispatch -> t -> t
   val with_cache : bool -> t -> t
   val with_metrics : Dt_obs.Metrics.t option -> t -> t
   val with_sink : Dt_obs.Trace.sink option -> t -> t
@@ -99,7 +95,6 @@ module Config : sig
   val assume : t -> Assume.t
   val jobs : t -> int
   val grain : t -> int
-  val dispatch : t -> Banerjee.dispatch
   val budget : t -> int option
   val deadline_ms : t -> int option
   val cache_enabled : t -> bool

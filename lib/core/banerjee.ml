@@ -48,42 +48,6 @@ let region_nonempty assume range i dir =
   | _ -> true
 
 let max_combos = 4096
-let use_reference = ref false
-
-(* ------------------------------------------------------------------ *)
-(* evaluator dispatch *)
-
-type dispatch = Auto | Incremental | Reference
-
-(* Threshold calibrated by the bench's dispatch section: the compiled
-   evaluator amortizes its per-pair state build over the hierarchy DFS,
-   whose node count grows with 4^depth — at depth >= 3 it wins by orders
-   of magnitude, while on depth-1/2 constant-bound pairs the from-scratch
-   evaluator's lack of setup cost makes it marginally faster. Symbolic
-   terms tip the balance earlier: every vertex proof goes through the
-   sign oracle, and the compiled path dedups and memoizes those. *)
-let select ~depth ~symbols =
-  if depth >= 3 || (depth >= 2 && symbols > 0) then Incremental else Reference
-
-(* distinct symbols mentioned by the pairs' difference constants and the
-   relevant range endpoints — the "symbol count" axis of [select] *)
-let count_symbols range pairs ~indices =
-  let syms =
-    List.fold_left
-      (fun acc i ->
-        let r = Range.find range i in
-        let acc =
-          match r.Range.lo with
-          | Some e -> List.rev_append (Affine.syms e) acc
-          | None -> acc
-        in
-        match r.Range.hi with
-        | Some e -> List.rev_append (Affine.syms e) acc
-        | None -> acc)
-      (List.concat_map (fun p -> Affine.syms (Spair.diff_const p)) pairs)
-      indices
-  in
-  List.length (List.sort_uniq String.compare syms)
 
 (* ------------------------------------------------------------------ *)
 (* per-worker scratch arena: the compiled evaluator's per-pair state
@@ -129,8 +93,8 @@ end
 (* ------------------------------------------------------------------ *)
 (* Reference implementation: the pre-kernel evaluator that recombines
    the full vertex cross product at every query. Kept verbatim as the
-   byte-identity oracle for the compiled evaluator (tests, bench) and
-   reachable via [use_reference]. *)
+   byte-identity oracle for the compiled evaluator (tests, bench); the
+   analyzer never calls it. *)
 
 module Reference = struct
   let feasible ?metrics ?budget assume range (p : Spair.t) ~dirs =
@@ -512,108 +476,83 @@ let release_state scratch st =
       Scratch.return_vec s st.scratch;
       Scratch.return_table s st.prove_memo
 
-(* [Auto] resolution: the [use_reference] global (the test/bench
-   byte-identity hook) still forces the from-scratch evaluator; otherwise
-   the nest-shape heuristic decides. An explicit dispatch always wins. *)
-let wants_reference dispatch ~depth ~symbols =
-  match dispatch with
-  | Reference -> true
-  | Incremental -> false
-  | Auto -> !use_reference || select ~depth ~symbols:(symbols ()) = Reference
+let feasible ?scratch ?metrics ?sink ?budget assume range (p : Spair.t) ~dirs =
+  let st = build_state ?metrics ?scratch range p in
+  Fun.protect ~finally:(fun () -> release_state scratch st) @@ fun () ->
+  (* the first binding of an index wins, as List.find_opt did *)
+  let seen = ref [] in
+  List.iter
+    (fun (i, d) ->
+      if not (List.exists (Index.equal i) !seen) then begin
+        seen := i :: !seen;
+        match Linform.slot st.kp i with
+        | Some k -> set_dir st k (code_of_dir d)
+        | None -> ()
+      end)
+    dirs;
+  eval_state ?metrics ?sink ?budget ~from_scratch:true assume st
 
-let feasible ?(dispatch = Auto) ?scratch ?metrics ?sink ?budget assume range
-    (p : Spair.t) ~dirs =
-  let depth = List.length dirs in
-  let symbols () = count_symbols range [ p ] ~indices:(List.map fst dirs) in
-  if wants_reference dispatch ~depth ~symbols then
-    Reference.feasible ?metrics ?budget assume range p ~dirs
-  else begin
-    let st = build_state ?metrics ?scratch range p in
-    Fun.protect ~finally:(fun () -> release_state scratch st) @@ fun () ->
-    (* the first binding of an index wins, as List.find_opt did *)
-    let seen = ref [] in
-    List.iter
-      (fun (i, d) ->
-        if not (List.exists (Index.equal i) !seen) then begin
-          seen := i :: !seen;
-          match Linform.slot st.kp i with
-          | Some k -> set_dir st k (code_of_dir d)
-          | None -> ()
-        end)
-      dirs;
-    eval_state ?metrics ?sink ?budget ~from_scratch:true assume st
-  end
-
-let vectors ?(dispatch = Auto) ?scratch ?metrics ?sink ?spans ?budget assume
-    range pairs ~indices =
+let vectors ?scratch ?metrics ?sink ?spans ?budget assume range pairs ~indices =
   Dt_obs.Span.with_ spans Dt_obs.Span.Banerjee @@ fun () ->
-  let depth = List.length indices in
-  let symbols () = count_symbols range pairs ~indices in
-  if wants_reference dispatch ~depth ~symbols then
-    Reference.vectors ?metrics ?budget assume range pairs ~indices
-  else begin
-    let states =
-      List.map
-        (fun p ->
-          let st = build_state ?metrics ?scratch range p in
-          let slots =
-            Array.of_list (List.map (Linform.slot st.kp) indices)
-          in
-          (st, slots))
-        pairs
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun (st, _) -> release_state scratch st) states)
-    @@ fun () ->
-    let idxs = Array.of_list indices in
-    let n = Array.length idxs in
-    (* region_nonempty depends only on (index, dir): memoize per call *)
-    let region_memo = Array.make_matrix n 3 None in
-    let region_ok k d =
-      let j = match d with Direction.Lt -> 0 | Eq -> 1 | Gt -> 2 in
-      match region_memo.(k).(j) with
-      | Some r -> r
-      | None ->
-          let r = region_nonempty assume range idxs.(k) (Some d) in
-          region_memo.(k).(j) <- Some r;
-          r
-    in
-    let feasible_all () =
-      List.for_all
-        (fun (st, _) ->
-          eval_state ?metrics ?sink ?budget ~from_scratch:false assume st)
-        states
-    in
-    let set_all k code =
-      List.iter
-        (fun (st, slots) ->
-          match slots.(k) with Some sl -> set_dir st sl code | None -> ())
-        states
-    in
-    let cur = Array.make n Direction.Eq in
-    let results = ref [] in
-    (* depth-first refinement of the '*' hierarchy, outermost index
-       first; entries at positions >= k are '*' *)
-    let rec refine k =
-      if feasible_all () then
-        if k = n then results := Array.to_list (Array.copy cur) :: !results
-        else begin
-          List.iter
-            (fun d ->
-              if region_ok k d then begin
-                cur.(k) <- d;
-                set_all k (code_of_dir (Some d));
-                refine (k + 1)
-              end)
-            Direction.all;
-          set_all k 0 (* restore '*' for the caller *)
-        end
-    in
-    refine 0;
-    let vecs = List.rev !results in
-    if vecs = [] then `Independent else `Vectors vecs
-  end
+  let states =
+    List.map
+      (fun p ->
+        let st = build_state ?metrics ?scratch range p in
+        let slots = Array.of_list (List.map (Linform.slot st.kp) indices) in
+        (st, slots))
+      pairs
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (st, _) -> release_state scratch st) states)
+  @@ fun () ->
+  let idxs = Array.of_list indices in
+  let n = Array.length idxs in
+  (* region_nonempty depends only on (index, dir): memoize per call *)
+  let region_memo = Array.make_matrix n 3 None in
+  let region_ok k d =
+    let j = match d with Direction.Lt -> 0 | Eq -> 1 | Gt -> 2 in
+    match region_memo.(k).(j) with
+    | Some r -> r
+    | None ->
+        let r = region_nonempty assume range idxs.(k) (Some d) in
+        region_memo.(k).(j) <- Some r;
+        r
+  in
+  let feasible_all () =
+    List.for_all
+      (fun (st, _) ->
+        eval_state ?metrics ?sink ?budget ~from_scratch:false assume st)
+      states
+  in
+  let set_all k code =
+    List.iter
+      (fun (st, slots) ->
+        match slots.(k) with Some sl -> set_dir st sl code | None -> ())
+      states
+  in
+  let cur = Array.make n Direction.Eq in
+  let results = ref [] in
+  (* depth-first refinement of the '*' hierarchy, outermost index first;
+     entries at positions >= k are '*' *)
+  let rec refine k =
+    if feasible_all () then
+      if k = n then results := Array.to_list (Array.copy cur) :: !results
+      else begin
+        List.iter
+          (fun d ->
+            if region_ok k d then begin
+              cur.(k) <- d;
+              set_all k (code_of_dir (Some d));
+              refine (k + 1)
+            end)
+          Direction.all;
+        set_all k 0 (* restore '*' for the caller *)
+      end
+  in
+  refine 0;
+  let vecs = List.rev !results in
+  if vecs = [] then `Independent else `Vectors vecs
 
 let explain = function
   | `Independent ->

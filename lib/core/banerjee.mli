@@ -24,21 +24,6 @@
 
 open Dt_ir
 
-(** Which evaluator runs a query. [Auto] (the default everywhere) picks
-    per query from the nest shape via {!select} — unless the legacy
-    {!use_reference} hook forces the from-scratch path. The two
-    evaluators are byte-identical in verdicts {e and} in budget
-    consumption (same hierarchy-node count), so dispatch can never
-    change an analysis result — only its wall clock. *)
-type dispatch = Auto | Incremental | Reference
-
-val select : depth:int -> symbols:int -> dispatch
-(** The [Auto] heuristic, exposed for the bench's calibration section:
-    [Incremental] when [depth >= 3], or [depth >= 2] with symbolic
-    terms in play; [Reference] otherwise (never [Auto]). [depth] is the
-    hierarchy depth (indices refined), [symbols] the distinct symbols
-    across the pairs' difference constants and range endpoints. *)
-
 (** A per-worker scratch arena for the compiled evaluator: proof memo
     tables and vertex/bound vectors are rented per pair and returned
     when the query finishes, so a long testing loop stops allocating
@@ -51,7 +36,6 @@ module Scratch : sig
 end
 
 val feasible :
-  ?dispatch:dispatch ->
   ?scratch:Scratch.t ->
   ?metrics:Dt_obs.Metrics.t ->
   ?sink:Dt_obs.Trace.sink ->
@@ -79,7 +63,6 @@ val region_nonempty :
     [false] is a proof of emptiness. *)
 
 val vectors :
-  ?dispatch:dispatch ->
   ?scratch:Scratch.t ->
   ?metrics:Dt_obs.Metrics.t ->
   ?sink:Dt_obs.Trace.sink ->
@@ -95,12 +78,11 @@ val vectors :
     Returns the concrete legal vectors over [indices] (in the given
     order), or [`Independent] when none survive.
 
-    [dispatch] selects the evaluator (default [Auto]). On the
-    incremental compiled path: one kernel compilation per pair (counted
-    in [metrics]), then O(1) contribution swaps per hierarchy node, with
-    per-pair buffers rented from [scratch] when given. [sink] receives a
-    note per combo-cap fallback; [spans] brackets the whole hierarchy
-    walk as one {!Dt_obs.Span.Banerjee} timeline span. *)
+    One kernel compilation per pair (counted in [metrics]), then O(1)
+    contribution swaps per hierarchy node, with per-pair buffers rented
+    from [scratch] when given. [sink] receives a note per combo-cap
+    fallback; [spans] brackets the whole hierarchy walk as one
+    {!Dt_obs.Span.Banerjee} timeline span. *)
 
 val explain :
   [ `Independent | `Vectors of Direction.t list list ] -> string
@@ -112,15 +94,11 @@ val max_combos : int
     feasible — sound, observable via {!Dt_obs.Metrics.banerjee_caps} and
     a trace note, no longer silent. *)
 
-val use_reference : bool ref
-(** When set, {!feasible} and {!vectors} route to {!Reference}. Test and
-    bench hook for byte-identity comparison; defaults to [false]. *)
-
 (** The pre-kernel, from-scratch evaluator: recombines every index's
     vertex contributions at each hierarchy node with persistent-map
     {!Affine} arithmetic. The semantics oracle the compiled evaluator is
     tested against, and the baseline the bench compares allocation and
-    ns/node figures with. *)
+    ns/node figures with. The analyzer never calls it. *)
 module Reference : sig
   val feasible :
     ?metrics:Dt_obs.Metrics.t ->

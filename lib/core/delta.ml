@@ -161,7 +161,7 @@ let relation_infeasible loops assume ~ivar ~jvar ~e =
       else false)
     loops
 
-let test ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch ?trace
+let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?trace
     ?(loops = []) assume range pairs ~relevant =
   Dt_obs.Span.with_ spans Dt_obs.Span.Delta @@ fun () ->
   let instrumented = metrics <> None || spans <> None in
@@ -662,7 +662,7 @@ let test ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch ?trace
           in
           let t1 = tick () in
           match
-            Banerjee.vectors ?dispatch ?scratch ?metrics ?sink ?spans ?budget
+            Banerjee.vectors ?scratch ?metrics ?sink ?spans ?budget
               assume range [ p ] ~indices
           with
           | `Independent as v ->

@@ -32,7 +32,6 @@ val test :
   ?sink:Dt_obs.Trace.sink ->
   ?spans:Dt_obs.Span.t ->
   ?budget:Dt_guard.Budget.t ->
-  ?dispatch:Banerjee.dispatch ->
   ?scratch:Banerjee.Scratch.t ->
   ?trace:(string -> unit) ->
   ?loops:Loop.t list ->

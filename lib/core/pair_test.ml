@@ -81,7 +81,7 @@ let rename_snk ~src_loops ~common (snk_loops : Loop.t list)
    renaming / range computation / classification — before the per-pair
    backstop below is even reachable — escapes this function. [test]
    wraps it so the exported entry point never raises. *)
-let test_exn ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch
+let test_exn ?counters ?metrics ?sink ?spans ?budget ?scratch
     ?(strategy = Partition_based) ?(assume = Assume.empty)
     ~src:(src_ref, src_loops) ~snk:(snk_ref, snk_loops) () =
   if src_ref.Aref.base <> snk_ref.Aref.base then
@@ -238,7 +238,7 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch
         in
         let t1 = tick () in
         match
-          Banerjee.vectors ?dispatch ?scratch ?metrics ?sink ?spans ?budget
+          Banerjee.vectors ?scratch ?metrics ?sink ?spans ?budget
             assume range [ p ] ~indices
         with
         | `Independent as v ->
@@ -274,7 +274,7 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch
           | Subscript_by_subscript -> (
               match
                 Subscript_wise.test ?counters ?metrics ?sink ?spans ?budget
-                  ?dispatch ?scratch assume range spairs
+                  ?scratch assume range spairs
                   ~common:common_indices
               with
               | `Independent k -> raise (Indep (Some k))
@@ -304,7 +304,7 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch
                         let r =
                           scoped (fun () ->
                               Delta.test ?counters ?metrics ?sink ?spans
-                                ?budget ?dispatch ?scratch ~loops:all_loops
+                                ?budget ?scratch ~loops:all_loops
                                 assume range group_pairs ~relevant)
                         in
                         delta_passes := max !delta_passes r.Delta.passes;
@@ -418,12 +418,12 @@ let degraded_result ~src:((_ : Aref.t), src_loops) ~snk:((_ : Aref.t), snk_loops
    exported driver therefore never raises — any fault yields the
    conservative full direction-vector verdict, with the reason recorded
    in metrics and on the trace. [Out_of_memory] stays fatal. *)
-let test ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch ?strategy
+let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?strategy
     ?assume ~src ~snk () =
   if (fst src).Aref.base <> (fst snk).Aref.base then
     invalid_arg "Pair_test.test: references to different arrays";
   match
-    test_exn ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch
+    test_exn ?counters ?metrics ?sink ?spans ?budget ?scratch
       ?strategy ?assume ~src ~snk ()
   with
   | r -> r

@@ -57,7 +57,6 @@ val test :
   ?sink:Dt_obs.Trace.sink ->
   ?spans:Dt_obs.Span.t ->
   ?budget:Dt_guard.Budget.t ->
-  ?dispatch:Banerjee.dispatch ->
   ?scratch:Banerjee.Scratch.t ->
   ?strategy:strategy ->
   ?assume:Assume.t ->
@@ -76,11 +75,9 @@ val test :
     Delta / Banerjee sub-brackets (see {!Dt_obs.Span}). None of them
     costs anything when omitted.
 
-    [dispatch] selects the Banerjee evaluator for every hierarchy query
-    this pair issues (default {!Banerjee.Auto}); [scratch] lends the
-    queries a per-worker arena so repeated pairs stop allocating
-    compilation buffers. Neither can change the verdict (see
-    {!Banerjee.dispatch}).
+    [scratch] lends every Banerjee hierarchy query this pair issues a
+    per-worker arena so repeated pairs stop allocating compilation
+    buffers; it cannot change the verdict.
 
     Fault containment: an overflow of the checked arithmetic or an
     injected fault inside one partition's test degrades that partition;

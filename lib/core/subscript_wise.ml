@@ -1,6 +1,6 @@
 open Dt_ir
 
-let test ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch assume
+let test ?counters ?metrics ?sink ?spans ?budget ?scratch assume
     range pairs ~common =
   let instrumented = metrics <> None || spans <> None in
   let record ?(t0 = 0L) ?(span = true) k ~indep =
@@ -44,7 +44,7 @@ let test ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch assume
           in
           let t1 = tick () in
           match
-            Banerjee.vectors ?dispatch ?scratch ?metrics ?sink ?spans ?budget
+            Banerjee.vectors ?scratch ?metrics ?sink ?spans ?budget
               assume range [ p ] ~indices
           with
           | `Independent as v ->

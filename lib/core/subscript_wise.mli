@@ -14,7 +14,6 @@ val test :
   ?sink:Dt_obs.Trace.sink ->
   ?spans:Dt_obs.Span.t ->
   ?budget:Dt_guard.Budget.t ->
-  ?dispatch:Banerjee.dispatch ->
   ?scratch:Banerjee.Scratch.t ->
   Assume.t ->
   Range.t ->

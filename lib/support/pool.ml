@@ -218,8 +218,3 @@ let run pool ~n ~state ~body =
         failures;
       List.filter_map Fun.id states
     end
-
-let parallel_for ?(jobs = 0) ?chunk ?probe ?on_error ~n ~state ~body () =
-  let hooks = { probe = Option.value probe ~default:no_probe; on_error } in
-  let pool = create ~jobs ?grain:chunk ~hooks () in
-  run pool ~n ~state ~body

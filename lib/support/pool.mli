@@ -105,17 +105,3 @@ val run : 'w t -> n:int -> state:(int -> 'w) -> body:('w -> int -> unit) -> 'w l
     domain in index order — the sequential reference path. Otherwise
     [min jobs n] domains run, the calling domain being worker 0.
     A raising [state] call is always fatal. *)
-
-val parallel_for :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?probe:probe ->
-  ?on_error:('w -> int -> exn -> unit) ->
-  n:int ->
-  state:(int -> 'w) ->
-  body:('w -> int -> unit) ->
-  unit ->
-  'w list
-[@@ocaml.deprecated "use Pool.create and Pool.run with Pool.hooks"]
-(** Compatibility wrapper over {!create} + {!run} ([chunk] maps to
-    [grain]). One release only. *)

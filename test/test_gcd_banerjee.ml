@@ -317,18 +317,15 @@ let render_corpus () =
     Dt_workloads.Corpus.all;
   Buffer.contents buf
 
+(* MD5 of [render_corpus ()] recorded when the analyzer could still route
+   every Banerjee query to [Reference]: at that commit the from-scratch,
+   compiled and per-query-dispatched runs all rendered these bytes *)
+let reference_corpus_md5 = "142b01a02357483d88166d3aaa96539d"
+
 let test_corpus_byte_parity () =
-  let with_reference = Fun.protect ~finally:(fun () ->
-      Deptest.Banerjee.use_reference := false)
-  in
-  let compiled = render_corpus () in
-  let reference =
-    with_reference (fun () ->
-        Deptest.Banerjee.use_reference := true;
-        render_corpus ())
-  in
-  check Alcotest.bool "corpus output byte-identical" true
-    (String.equal compiled reference)
+  check Alcotest.string "corpus output matches the Reference rendering"
+    reference_corpus_md5
+    (Digest.to_hex (Digest.string (render_corpus ())))
 
 let suite =
   [

@@ -325,17 +325,7 @@ let battery () =
     let w, r, loops = miv_pair () in
     Deptest.Pair_test.test ~src:(w, loops) ~snk:(r, loops) ()
   in
-  let miv_deep () =
-    (* depth 3: [Auto] dispatch routes this query to the incremental
-       compiled evaluator, whose kernel compilation owns the
-       [linform.corner] site (the shallow [miv] goes to [Reference]) *)
-    let s = Affine.add (av i0) (Affine.add (av j1) (av k2)) in
-    let w = Aref.linear "A" [ s ]
-    and r = Aref.linear "A" [ Affine.add_const (-1) s ] in
-    let loops = [ loop ~hi:10 i0; loop ~hi:10 j1; loop ~hi:10 k2 ] in
-    Deptest.Pair_test.test ~src:(w, loops) ~snk:(r, loops) ()
-  in
-  [ strong_siv (); general_siv (); rdiv (); miv (); miv_deep () ]
+  [ strong_siv (); general_siv (); rdiv (); miv () ]
 
 let driver_sites =
   [ "pair.test"; "siv.test"; "rdiv.test"; "dio.solve"; "banerjee.node";
