@@ -180,6 +180,597 @@ let test_metrics_json_roundtrip () =
       check Alcotest.bool "applied count" true
         (Dt_obs.Json.member "applied" strong = Some (Dt_obs.Json.Int 1))
 
+(* --- Output parity ----------------------------------------------------- *)
+
+(* Every recorder, split across two registries and merged, so the pinned
+   strings cover both merge rules: counters sum, the memo and disk
+   snapshots keep the larger value. *)
+let parity_registry () =
+  let module M = Dt_obs.Metrics in
+  let module K = Dt_obs.Test_kind in
+  let a = M.create () and b = M.create () in
+  M.record a K.Ziv_test ~indep:true ~ns:120L;
+  M.record a K.Strong_siv ~indep:false ~ns:2_500L;
+  M.record a K.Strong_siv ~indep:true ~ns:1_500L;
+  M.record b K.Strong_siv ~indep:false ~ns:4_000L;
+  M.record b K.Delta_test ~indep:true ~ns:9_000L;
+  M.record b K.Gcd_miv ~indep:false ~ns:700L;
+  List.iteri
+    (fun i p ->
+      M.add_phase_ns a p (Int64.of_int (1_000 * (i + 1)));
+      M.add_phase_ns b p (Int64.of_int (100 * (i + 1))))
+    M.phases;
+  List.iter
+    (fun ns -> M.observe_pair a ~ns)
+    [ 500L; 5_000L; 50_000L; 500_000L; 5_000_000L; 50_000_000L ];
+  List.iter (fun ns -> M.observe_pair b ~ns) [ 800L; 20_000L; 20_000L ];
+  M.cache_hit a;
+  M.cache_hit a;
+  M.cache_miss a;
+  M.cache_hit b;
+  M.cache_miss b;
+  M.set_cache_usage a ~size:7 ~evictions:1;
+  M.set_cache_usage b ~size:5 ~evictions:3;
+  M.set_disk_cache a ~hits:4 ~misses:2 ~invalid:0;
+  M.set_disk_cache b ~hits:3 ~misses:6 ~invalid:1;
+  M.banerjee_compile a;
+  M.banerjee_compile b;
+  M.banerjee_node a ~incremental:true;
+  M.banerjee_node a ~incremental:true;
+  M.banerjee_node b ~incremental:false;
+  M.banerjee_cap b;
+  M.degraded a `Overflow;
+  M.degraded b `Exception;
+  M.degraded b `Budget;
+  M.degraded b `Budget;
+  M.engine_registry a;
+  M.engine_registry b;
+  M.engine_shards a ~n:3;
+  M.engine_task a ~domain:0 ~ns:10_000L;
+  M.engine_task a ~domain:0 ~ns:5_000L;
+  M.engine_wait a ~domain:0 ~ns:300L;
+  M.engine_task b ~domain:1 ~ns:8_000L;
+  M.engine_steal b ~domain:1;
+  M.engine_wait b ~domain:1 ~ns:900L;
+  M.serve_endpoint a ~endpoint:"health";
+  M.serve_request a ~endpoint:"analyze" ~ns:250_000L;
+  M.serve_request b ~endpoint:"analyze" ~ns:20_000_000_000L;
+  M.serve_request b ~endpoint:"metrics" ~ns:50_000L;
+  M.serve_tier a ~tier:"disk";
+  M.serve_answered a ~tier:"cold";
+  M.serve_answered b ~tier:"cold";
+  M.serve_answered b ~tier:"response";
+  M.merge_into a b;
+  a
+
+(* the build-info sample carries the git label, which moves per commit *)
+let strip_build_info text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l ->
+         not (String.length l > 18 && String.sub l 0 19 = "deptest_build_info{"))
+  |> String.concat "\n"
+
+(* Expected outputs, recorded from the registry as it stood before the
+   metrics layer became a family registry; the registry must reproduce
+   them byte for byte. *)
+
+let expected_parity_json =
+  {parity|{"schema":"deptest-metrics/2","tests":[{"kind":"ziv","name":"ZIV","applied":1,"independent":1,"total_ns":120},{"kind":"strong_siv","name":"strong SIV","applied":3,"independent":1,"total_ns":8000},{"kind":"weak_zero_siv","name":"weak-zero SIV","applied":0,"independent":0,"total_ns":0},{"kind":"weak_crossing_siv","name":"weak-crossing SIV","applied":0,"independent":0,"total_ns":0},{"kind":"exact_siv","name":"exact SIV","applied":0,"independent":0,"total_ns":0},{"kind":"rdiv","name":"RDIV","applied":0,"independent":0,"total_ns":0},{"kind":"gcd_miv","name":"GCD","applied":1,"independent":0,"total_ns":700},{"kind":"banerjee_miv","name":"Banerjee","applied":0,"independent":0,"total_ns":0},{"kind":"delta","name":"Delta","applied":1,"independent":1,"total_ns":9000},{"kind":"symbolic_ziv","name":"symbolic ZIV","applied":0,"independent":0,"total_ns":0}],"phases":{"parse_ns":1100,"partition_ns":2200,"test_ns":3300,"merge_ns":4400},"pairs":{"tested":9,"total_ns":55596300,"latency_hist":[{"le_ns":1000,"label":"<=1us","count":2},{"le_ns":10000,"label":"<=10us","count":1},{"le_ns":100000,"label":"<=100us","count":3},{"le_ns":1000000,"label":"<=1ms","count":1},{"le_ns":10000000,"label":"<=10ms","count":1},{"le_ns":null,"label":">10ms","count":1}]},"cache":{"hits":3,"misses":2,"hit_rate":0.6,"size":7,"evictions":3,"disk_hits":4,"disk_misses":6,"disk_invalid":1},"banerjee":{"kernel_compilations":2,"incremental_nodes":2,"scratch_nodes":1,"combo_cap_fallbacks":1},"guard":{"degraded":4,"by_reason":{"overflow":1,"exception":1,"budget":2}},"engine":{"registries":2,"shards":3,"domains":[{"domain":0,"tasks":2,"steals":0,"busy_ns":15000,"queue_wait_ns":300},{"domain":1,"tasks":1,"steals":1,"busy_ns":8000,"queue_wait_ns":900}],"tasks":3,"steals":1,"busy_ns":23000,"queue_wait_ns":1200},"serve":{"endpoints":[{"endpoint":"analyze","requests":2,"total_ns":20000250000,"latency_hist":[{"le_ns":100000,"label":"<=100us","count":0},{"le_ns":1000000,"label":"<=1ms","count":1},{"le_ns":10000000,"label":"<=10ms","count":0},{"le_ns":100000000,"label":"<=100ms","count":0},{"le_ns":1000000000,"label":"<=1s","count":0},{"le_ns":10000000000,"label":"<=10s","count":0},{"le_ns":null,"label":">10s","count":1}]},{"endpoint":"health","requests":0,"total_ns":0,"latency_hist":[{"le_ns":100000,"label":"<=100us","count":0},{"le_ns":1000000,"label":"<=1ms","count":0},{"le_ns":10000000,"label":"<=10ms","count":0},{"le_ns":100000000,"label":"<=100ms","count":0},{"le_ns":1000000000,"label":"<=1s","count":0},{"le_ns":10000000000,"label":"<=10s","count":0},{"le_ns":null,"label":">10s","count":0}]},{"endpoint":"metrics","requests":1,"total_ns":50000,"latency_hist":[{"le_ns":100000,"label":"<=100us","count":1},{"le_ns":1000000,"label":"<=1ms","count":0},{"le_ns":10000000,"label":"<=10ms","count":0},{"le_ns":100000000,"label":"<=100ms","count":0},{"le_ns":1000000000,"label":"<=1s","count":0},{"le_ns":10000000000,"label":"<=10s","count":0},{"le_ns":null,"label":">10s","count":0}]}],"answered":{"cold":2,"disk":0,"response":1}}}|parity}
+
+let expected_parity_pp =
+  {parity|test                 applied     indep    total(us)    avg(ns)
+ZIV                        1         1          0.1        120
+strong SIV                 3         1          8.0       2667
+GCD                        1         0          0.7        700
+Delta                      1         1          9.0       9000
+
+phase                  wall(us)
+parse                       1.1
+partition                   2.2
+test                        3.3
+merge                       4.4
+
+pairs tested 9, total 55596.3 us
+memo cache: 3 hits / 5 lookups (60.0%), 7 entries resident, 3 evicted
+disk cache: 4 hits / 10 lookups, 1 invalid object(s)
+banerjee kernel: 2 compiled, 2 incremental / 1 scratch nodes, 1 cap fallback(s)
+guard: 4 pair(s) degraded conservatively (1 overflow, 1 exception, 2 budget)
+engine: 2 worker registries merged, 3 routine shard(s)
+  domain 0: 2 task(s), 0 steal(s), busy 15.0 us, queue wait 0.3 us
+  domain 1: 1 task(s), 1 steal(s), busy 8.0 us, queue wait 0.9 us
+serve analyze    2 request(s), total 20000250.0 us, avg 10000125000 ns
+serve health     0 request(s), total 0.0 us, avg 0 ns
+serve metrics    1 request(s), total 50.0 us, avg 50000 ns
+serve answered: cold:2 disk:0 response:1
+pair latency: <=1us:2 <=10us:1 <=100us:3 <=1ms:1 <=10ms:1 >10ms:1
+|parity}
+
+let expected_parity_prom =
+  {parity|# HELP deptest_build_info Build and schema identity of this process (value is always 1).
+# TYPE deptest_build_info gauge
+# HELP deptest_tests_applied_total Dependence-test applications by test kind.
+# TYPE deptest_tests_applied_total counter
+deptest_tests_applied_total{kind="ziv"} 1
+deptest_tests_applied_total{kind="strong_siv"} 3
+deptest_tests_applied_total{kind="weak_zero_siv"} 0
+deptest_tests_applied_total{kind="weak_crossing_siv"} 0
+deptest_tests_applied_total{kind="exact_siv"} 0
+deptest_tests_applied_total{kind="rdiv"} 0
+deptest_tests_applied_total{kind="gcd_miv"} 1
+deptest_tests_applied_total{kind="banerjee_miv"} 0
+deptest_tests_applied_total{kind="delta"} 1
+deptest_tests_applied_total{kind="symbolic_ziv"} 0
+# HELP deptest_tests_independent_total Independence proofs by test kind.
+# TYPE deptest_tests_independent_total counter
+deptest_tests_independent_total{kind="ziv"} 1
+deptest_tests_independent_total{kind="strong_siv"} 1
+deptest_tests_independent_total{kind="weak_zero_siv"} 0
+deptest_tests_independent_total{kind="weak_crossing_siv"} 0
+deptest_tests_independent_total{kind="exact_siv"} 0
+deptest_tests_independent_total{kind="rdiv"} 0
+deptest_tests_independent_total{kind="gcd_miv"} 0
+deptest_tests_independent_total{kind="banerjee_miv"} 0
+deptest_tests_independent_total{kind="delta"} 1
+deptest_tests_independent_total{kind="symbolic_ziv"} 0
+# HELP deptest_test_ns_total Wall-clock nanoseconds inside each test kind.
+# TYPE deptest_test_ns_total counter
+deptest_test_ns_total{kind="ziv"} 120
+deptest_test_ns_total{kind="strong_siv"} 8000
+deptest_test_ns_total{kind="weak_zero_siv"} 0
+deptest_test_ns_total{kind="weak_crossing_siv"} 0
+deptest_test_ns_total{kind="exact_siv"} 0
+deptest_test_ns_total{kind="rdiv"} 0
+deptest_test_ns_total{kind="gcd_miv"} 700
+deptest_test_ns_total{kind="banerjee_miv"} 0
+deptest_test_ns_total{kind="delta"} 9000
+deptest_test_ns_total{kind="symbolic_ziv"} 0
+# HELP deptest_phase_ns_total Wall-clock nanoseconds per analysis phase.
+# TYPE deptest_phase_ns_total counter
+deptest_phase_ns_total{phase="parse"} 1100
+deptest_phase_ns_total{phase="partition"} 2200
+deptest_phase_ns_total{phase="test"} 3300
+deptest_phase_ns_total{phase="merge"} 4400
+# HELP deptest_pairs_tested_total Reference pairs that completed the driver.
+# TYPE deptest_pairs_tested_total counter
+deptest_pairs_tested_total 9
+# HELP deptest_pair_latency_ns Per-reference-pair driver latency in nanoseconds.
+# TYPE deptest_pair_latency_ns histogram
+deptest_pair_latency_ns_bucket{le="1000"} 2
+deptest_pair_latency_ns_bucket{le="10000"} 3
+deptest_pair_latency_ns_bucket{le="100000"} 6
+deptest_pair_latency_ns_bucket{le="1000000"} 7
+deptest_pair_latency_ns_bucket{le="10000000"} 8
+deptest_pair_latency_ns_bucket{le="+Inf"} 9
+deptest_pair_latency_ns_sum 55596300
+deptest_pair_latency_ns_count 9
+# HELP deptest_cache_hits_total Pair verdicts served by the structural memo cache.
+# TYPE deptest_cache_hits_total counter
+deptest_cache_hits_total 3
+# HELP deptest_cache_misses_total Memo-cache lookup misses.
+# TYPE deptest_cache_misses_total counter
+deptest_cache_misses_total 2
+# HELP deptest_cache_entries Resident memo-cache entries after the run.
+# TYPE deptest_cache_entries gauge
+deptest_cache_entries 7
+# HELP deptest_cache_evictions_total Memo-cache entries dropped by capacity eviction.
+# TYPE deptest_cache_evictions_total counter
+deptest_cache_evictions_total 3
+# HELP deptest_disk_cache_hits_total Verdicts served by the disk-backed cross-run store.
+# TYPE deptest_disk_cache_hits_total counter
+deptest_disk_cache_hits_total 4
+# HELP deptest_disk_cache_misses_total Disk-store lookup misses.
+# TYPE deptest_disk_cache_misses_total counter
+deptest_disk_cache_misses_total 6
+# HELP deptest_disk_cache_invalid_total Invalid disk-cache objects skipped (corrupt segments, tmp leftovers, undecodable entries).
+# TYPE deptest_disk_cache_invalid_total counter
+deptest_disk_cache_invalid_total 1
+# HELP deptest_banerjee_kernel_compilations_total Subscript pairs compiled into the linear-form kernel.
+# TYPE deptest_banerjee_kernel_compilations_total counter
+deptest_banerjee_kernel_compilations_total 2
+# HELP deptest_banerjee_nodes_total Banerjee hierarchy-node evaluations by path.
+# TYPE deptest_banerjee_nodes_total counter
+deptest_banerjee_nodes_total{path="incremental"} 2
+deptest_banerjee_nodes_total{path="scratch"} 1
+# HELP deptest_banerjee_combo_cap_fallbacks_total Vertex cross products past the combination cap.
+# TYPE deptest_banerjee_combo_cap_fallbacks_total counter
+deptest_banerjee_combo_cap_fallbacks_total 1
+# HELP deptest_degraded_pairs_total Pairs degraded to the conservative verdict, by guard reason.
+# TYPE deptest_degraded_pairs_total counter
+deptest_degraded_pairs_total{reason="overflow"} 1
+deptest_degraded_pairs_total{reason="exception"} 1
+deptest_degraded_pairs_total{reason="budget"} 2
+# HELP deptest_engine_registries_total Worker metrics registries merged into this snapshot.
+# TYPE deptest_engine_registries_total counter
+deptest_engine_registries_total 2
+# HELP deptest_engine_shards_total Routine-grain shards dispatched to the work-stealing pool.
+# TYPE deptest_engine_shards_total counter
+deptest_engine_shards_total 3
+# HELP deptest_engine_tasks_total Engine work leaves executed, by worker domain.
+# TYPE deptest_engine_tasks_total counter
+deptest_engine_tasks_total{domain="0"} 2
+deptest_engine_tasks_total{domain="1"} 1
+# HELP deptest_engine_steals_total Ranges stolen from another worker's deque, by thief domain.
+# TYPE deptest_engine_steals_total counter
+deptest_engine_steals_total{domain="0"} 0
+deptest_engine_steals_total{domain="1"} 1
+# HELP deptest_engine_busy_ns_total Nanoseconds inside leaf bodies, by worker domain.
+# TYPE deptest_engine_busy_ns_total counter
+deptest_engine_busy_ns_total{domain="0"} 15000
+deptest_engine_busy_ns_total{domain="1"} 8000
+# HELP deptest_engine_queue_wait_ns_total Nanoseconds acquiring work (pop, steal, backoff), by worker domain.
+# TYPE deptest_engine_queue_wait_ns_total counter
+deptest_engine_queue_wait_ns_total{domain="0"} 300
+deptest_engine_queue_wait_ns_total{domain="1"} 900
+# HELP deptest_serve_request_duration_ns Whole-request daemon latency in nanoseconds, by protocol endpoint.
+# TYPE deptest_serve_request_duration_ns histogram
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="100000"} 0
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="1000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="10000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="100000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="1000000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="10000000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="+Inf"} 2
+deptest_serve_request_duration_ns_sum{endpoint="analyze"} 20000250000
+deptest_serve_request_duration_ns_count{endpoint="analyze"} 2
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="100000"} 0
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="1000000"} 0
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="10000000"} 0
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="100000000"} 0
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="1000000000"} 0
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="10000000000"} 0
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="+Inf"} 0
+deptest_serve_request_duration_ns_sum{endpoint="health"} 0
+deptest_serve_request_duration_ns_count{endpoint="health"} 0
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="100000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="1000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="10000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="100000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="1000000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="10000000000"} 1
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="+Inf"} 1
+deptest_serve_request_duration_ns_sum{endpoint="metrics"} 50000
+deptest_serve_request_duration_ns_count{endpoint="metrics"} 1
+# HELP deptest_serve_answered_total Analyze requests answered, by cache tier (response / disk / memo / cold) or none for non-analyze and failed requests.
+# TYPE deptest_serve_answered_total counter
+deptest_serve_answered_total{tier="cold"} 2
+deptest_serve_answered_total{tier="disk"} 0
+deptest_serve_answered_total{tier="response"} 1
+|parity}
+
+let expected_daemon_health =
+  {parity|{"ok":true,"status":"ok","jobs":1,"uptime_ns":"*","requests":6,"in_flight":1,"connections":2,"errors":2,"protocol_errors":1,"pid":"*","saturation":{"in_flight":1,"queue_depth":2,"max_inflight":0,"queue_deadline_ms":0,"shed":1,"deadline_exceeded":1,"injected_faults":1,"restarts":0},"trace":{"sample_period":1,"slow_threshold_ns":"*","ledger_total":4},"cache":{"memo_hits":2,"memo_misses":4,"memo_entries":4},"disk":{"dir":"*","resident":6,"segments":0}}|parity}
+
+let expected_daemon_json =
+  {parity|{"ok":true,"metrics":{"schema":"deptest-metrics/2","tests":[{"kind":"ziv","name":"ZIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"strong_siv","name":"strong SIV","applied":6,"independent":0,"total_ns":"*"},{"kind":"weak_zero_siv","name":"weak-zero SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"weak_crossing_siv","name":"weak-crossing SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"exact_siv","name":"exact SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"rdiv","name":"RDIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"gcd_miv","name":"GCD","applied":0,"independent":0,"total_ns":"*"},{"kind":"banerjee_miv","name":"Banerjee","applied":0,"independent":0,"total_ns":"*"},{"kind":"delta","name":"Delta","applied":2,"independent":1,"total_ns":"*"},{"kind":"symbolic_ziv","name":"symbolic ZIV","applied":0,"independent":0,"total_ns":"*"}],"phases":{"parse_ns":"*","partition_ns":"*","test_ns":"*","merge_ns":"*"},"pairs":{"tested":6,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=1us","count":"*"},{"le_ns":"*","label":"<=10us","count":"*"},{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":">10ms","count":"*"}]},"cache":{"hits":2,"misses":4,"hit_rate":0.33333333333333331,"size":4,"evictions":0,"disk_hits":1,"disk_misses":7,"disk_invalid":0},"banerjee":{"kernel_compilations":0,"incremental_nodes":0,"scratch_nodes":0,"combo_cap_fallbacks":0},"guard":{"degraded":0,"by_reason":{"overflow":0,"exception":0,"budget":0}},"engine":{"registries":2,"shards":0,"domains":[{"domain":0,"tasks":2,"steals":0,"busy_ns":"*","queue_wait_ns":"*"}],"tasks":2,"steals":0,"busy_ns":"*","queue_wait_ns":"*"},"serve":{"endpoints":[{"endpoint":"analyze","requests":5,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"flush","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"health","requests":1,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"metrics","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"shutdown","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"slow","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"top","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"trace-last","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]}],"answered":{"cold":1,"disk":0,"memo":1,"none":1,"response":1}}},"serve":{"requests":7,"analyses":2,"response_hits":1,"errors":2,"protocol_errors":1,"connections":2,"in_flight":1,"traced":4,"saturation":{"in_flight":1,"queue_depth":2,"max_inflight":0,"queue_deadline_ms":0,"shed":1,"deadline_exceeded":1,"injected_faults":1,"restarts":0}}}|parity}
+
+let expected_daemon_prom =
+  {parity|# HELP deptest_build_info Build and schema identity of this process (value is always 1).
+# TYPE deptest_build_info gauge
+# HELP deptest_tests_applied_total Dependence-test applications by test kind.
+# TYPE deptest_tests_applied_total counter
+deptest_tests_applied_total{kind="ziv"} 0
+deptest_tests_applied_total{kind="strong_siv"} 6
+deptest_tests_applied_total{kind="weak_zero_siv"} 0
+deptest_tests_applied_total{kind="weak_crossing_siv"} 0
+deptest_tests_applied_total{kind="exact_siv"} 0
+deptest_tests_applied_total{kind="rdiv"} 0
+deptest_tests_applied_total{kind="gcd_miv"} 0
+deptest_tests_applied_total{kind="banerjee_miv"} 0
+deptest_tests_applied_total{kind="delta"} 2
+deptest_tests_applied_total{kind="symbolic_ziv"} 0
+# HELP deptest_tests_independent_total Independence proofs by test kind.
+# TYPE deptest_tests_independent_total counter
+deptest_tests_independent_total{kind="ziv"} 0
+deptest_tests_independent_total{kind="strong_siv"} 0
+deptest_tests_independent_total{kind="weak_zero_siv"} 0
+deptest_tests_independent_total{kind="weak_crossing_siv"} 0
+deptest_tests_independent_total{kind="exact_siv"} 0
+deptest_tests_independent_total{kind="rdiv"} 0
+deptest_tests_independent_total{kind="gcd_miv"} 0
+deptest_tests_independent_total{kind="banerjee_miv"} 0
+deptest_tests_independent_total{kind="delta"} 1
+deptest_tests_independent_total{kind="symbolic_ziv"} 0
+# HELP deptest_test_ns_total Wall-clock nanoseconds inside each test kind.
+# TYPE deptest_test_ns_total counter
+deptest_test_ns_total{kind="ziv"} *
+deptest_test_ns_total{kind="strong_siv"} *
+deptest_test_ns_total{kind="weak_zero_siv"} *
+deptest_test_ns_total{kind="weak_crossing_siv"} *
+deptest_test_ns_total{kind="exact_siv"} *
+deptest_test_ns_total{kind="rdiv"} *
+deptest_test_ns_total{kind="gcd_miv"} *
+deptest_test_ns_total{kind="banerjee_miv"} *
+deptest_test_ns_total{kind="delta"} *
+deptest_test_ns_total{kind="symbolic_ziv"} *
+# HELP deptest_phase_ns_total Wall-clock nanoseconds per analysis phase.
+# TYPE deptest_phase_ns_total counter
+deptest_phase_ns_total{phase="parse"} *
+deptest_phase_ns_total{phase="partition"} *
+deptest_phase_ns_total{phase="test"} *
+deptest_phase_ns_total{phase="merge"} *
+# HELP deptest_pairs_tested_total Reference pairs that completed the driver.
+# TYPE deptest_pairs_tested_total counter
+deptest_pairs_tested_total 6
+# HELP deptest_pair_latency_ns Per-reference-pair driver latency in nanoseconds.
+# TYPE deptest_pair_latency_ns histogram
+deptest_pair_latency_ns_bucket{le="1000"} *
+deptest_pair_latency_ns_bucket{le="10000"} *
+deptest_pair_latency_ns_bucket{le="100000"} *
+deptest_pair_latency_ns_bucket{le="1000000"} *
+deptest_pair_latency_ns_bucket{le="10000000"} *
+deptest_pair_latency_ns_bucket{le="+Inf"} *
+deptest_pair_latency_ns_sum *
+deptest_pair_latency_ns_count *
+# HELP deptest_cache_hits_total Pair verdicts served by the structural memo cache.
+# TYPE deptest_cache_hits_total counter
+deptest_cache_hits_total 2
+# HELP deptest_cache_misses_total Memo-cache lookup misses.
+# TYPE deptest_cache_misses_total counter
+deptest_cache_misses_total 4
+# HELP deptest_cache_entries Resident memo-cache entries after the run.
+# TYPE deptest_cache_entries gauge
+deptest_cache_entries 4
+# HELP deptest_cache_evictions_total Memo-cache entries dropped by capacity eviction.
+# TYPE deptest_cache_evictions_total counter
+deptest_cache_evictions_total 0
+# HELP deptest_disk_cache_hits_total Verdicts served by the disk-backed cross-run store.
+# TYPE deptest_disk_cache_hits_total counter
+deptest_disk_cache_hits_total 1
+# HELP deptest_disk_cache_misses_total Disk-store lookup misses.
+# TYPE deptest_disk_cache_misses_total counter
+deptest_disk_cache_misses_total 7
+# HELP deptest_disk_cache_invalid_total Invalid disk-cache objects skipped (corrupt segments, tmp leftovers, undecodable entries).
+# TYPE deptest_disk_cache_invalid_total counter
+deptest_disk_cache_invalid_total 0
+# HELP deptest_banerjee_kernel_compilations_total Subscript pairs compiled into the linear-form kernel.
+# TYPE deptest_banerjee_kernel_compilations_total counter
+deptest_banerjee_kernel_compilations_total 0
+# HELP deptest_banerjee_nodes_total Banerjee hierarchy-node evaluations by path.
+# TYPE deptest_banerjee_nodes_total counter
+deptest_banerjee_nodes_total{path="incremental"} 0
+deptest_banerjee_nodes_total{path="scratch"} 0
+# HELP deptest_banerjee_combo_cap_fallbacks_total Vertex cross products past the combination cap.
+# TYPE deptest_banerjee_combo_cap_fallbacks_total counter
+deptest_banerjee_combo_cap_fallbacks_total 0
+# HELP deptest_degraded_pairs_total Pairs degraded to the conservative verdict, by guard reason.
+# TYPE deptest_degraded_pairs_total counter
+deptest_degraded_pairs_total{reason="overflow"} 0
+deptest_degraded_pairs_total{reason="exception"} 0
+deptest_degraded_pairs_total{reason="budget"} 0
+# HELP deptest_engine_registries_total Worker metrics registries merged into this snapshot.
+# TYPE deptest_engine_registries_total counter
+deptest_engine_registries_total 2
+# HELP deptest_engine_shards_total Routine-grain shards dispatched to the work-stealing pool.
+# TYPE deptest_engine_shards_total counter
+deptest_engine_shards_total 0
+# HELP deptest_engine_tasks_total Engine work leaves executed, by worker domain.
+# TYPE deptest_engine_tasks_total counter
+deptest_engine_tasks_total{domain="0"} 2
+# HELP deptest_engine_steals_total Ranges stolen from another worker's deque, by thief domain.
+# TYPE deptest_engine_steals_total counter
+deptest_engine_steals_total{domain="0"} 0
+# HELP deptest_engine_busy_ns_total Nanoseconds inside leaf bodies, by worker domain.
+# TYPE deptest_engine_busy_ns_total counter
+deptest_engine_busy_ns_total{domain="0"} *
+# HELP deptest_engine_queue_wait_ns_total Nanoseconds acquiring work (pop, steal, backoff), by worker domain.
+# TYPE deptest_engine_queue_wait_ns_total counter
+deptest_engine_queue_wait_ns_total{domain="0"} *
+# HELP deptest_serve_request_duration_ns Whole-request daemon latency in nanoseconds, by protocol endpoint.
+# TYPE deptest_serve_request_duration_ns histogram
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="100000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="1000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="10000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="100000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="1000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="10000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="analyze",le="+Inf"} *
+deptest_serve_request_duration_ns_sum{endpoint="analyze"} *
+deptest_serve_request_duration_ns_count{endpoint="analyze"} *
+deptest_serve_request_duration_ns_bucket{endpoint="flush",le="100000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="flush",le="1000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="flush",le="10000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="flush",le="100000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="flush",le="1000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="flush",le="10000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="flush",le="+Inf"} *
+deptest_serve_request_duration_ns_sum{endpoint="flush"} *
+deptest_serve_request_duration_ns_count{endpoint="flush"} *
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="100000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="1000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="10000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="100000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="1000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="10000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="health",le="+Inf"} *
+deptest_serve_request_duration_ns_sum{endpoint="health"} *
+deptest_serve_request_duration_ns_count{endpoint="health"} *
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="100000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="1000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="10000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="100000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="1000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="10000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="+Inf"} *
+deptest_serve_request_duration_ns_sum{endpoint="metrics"} *
+deptest_serve_request_duration_ns_count{endpoint="metrics"} *
+deptest_serve_request_duration_ns_bucket{endpoint="shutdown",le="100000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="shutdown",le="1000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="shutdown",le="10000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="shutdown",le="100000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="shutdown",le="1000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="shutdown",le="10000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="shutdown",le="+Inf"} *
+deptest_serve_request_duration_ns_sum{endpoint="shutdown"} *
+deptest_serve_request_duration_ns_count{endpoint="shutdown"} *
+deptest_serve_request_duration_ns_bucket{endpoint="slow",le="100000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="slow",le="1000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="slow",le="10000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="slow",le="100000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="slow",le="1000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="slow",le="10000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="slow",le="+Inf"} *
+deptest_serve_request_duration_ns_sum{endpoint="slow"} *
+deptest_serve_request_duration_ns_count{endpoint="slow"} *
+deptest_serve_request_duration_ns_bucket{endpoint="top",le="100000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="top",le="1000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="top",le="10000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="top",le="100000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="top",le="1000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="top",le="10000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="top",le="+Inf"} *
+deptest_serve_request_duration_ns_sum{endpoint="top"} *
+deptest_serve_request_duration_ns_count{endpoint="top"} *
+deptest_serve_request_duration_ns_bucket{endpoint="trace-last",le="100000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="trace-last",le="1000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="trace-last",le="10000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="trace-last",le="100000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="trace-last",le="1000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="trace-last",le="10000000000"} *
+deptest_serve_request_duration_ns_bucket{endpoint="trace-last",le="+Inf"} *
+deptest_serve_request_duration_ns_sum{endpoint="trace-last"} *
+deptest_serve_request_duration_ns_count{endpoint="trace-last"} *
+# HELP deptest_serve_answered_total Analyze requests answered, by cache tier (response / disk / memo / cold) or none for non-analyze and failed requests.
+# TYPE deptest_serve_answered_total counter
+deptest_serve_answered_total{tier="cold"} 1
+deptest_serve_answered_total{tier="disk"} 0
+deptest_serve_answered_total{tier="memo"} 1
+deptest_serve_answered_total{tier="none"} 1
+deptest_serve_answered_total{tier="response"} 1
+# HELP deptest_serve_requests_total Requests handled by the daemon.
+# TYPE deptest_serve_requests_total counter
+deptest_serve_requests_total 8
+# HELP deptest_serve_analyses_total Analyze requests that ran the test cascade.
+# TYPE deptest_serve_analyses_total counter
+deptest_serve_analyses_total 2
+# HELP deptest_serve_response_hits_total Analyze requests answered whole from the response cache.
+# TYPE deptest_serve_response_hits_total counter
+deptest_serve_response_hits_total 1
+# HELP deptest_serve_errors_total Requests answered with an error.
+# TYPE deptest_serve_errors_total counter
+deptest_serve_errors_total 2
+# HELP deptest_serve_protocol_errors_total Connections dropped on a framing, JSON, or version error.
+# TYPE deptest_serve_protocol_errors_total counter
+deptest_serve_protocol_errors_total 1
+# HELP deptest_serve_connections_total Client connections ever accepted.
+# TYPE deptest_serve_connections_total counter
+deptest_serve_connections_total 2
+# HELP deptest_serve_in_flight Requests currently being handled.
+# TYPE deptest_serve_in_flight gauge
+deptest_serve_in_flight 1
+# HELP deptest_serve_uptime_ns Nanoseconds since the daemon started.
+# TYPE deptest_serve_uptime_ns gauge
+deptest_serve_uptime_ns *
+# HELP deptest_serve_traced_requests_total Requests recorded in the slow-request ring ledger.
+# TYPE deptest_serve_traced_requests_total counter
+deptest_serve_traced_requests_total 4
+# HELP deptest_serve_shed_total Analyze requests shed with a structured overloaded response.
+# TYPE deptest_serve_shed_total counter
+deptest_serve_shed_total 1
+# HELP deptest_serve_deadline_exceeded_total Analyze requests shed because their own deadline budget was spent queueing.
+# TYPE deptest_serve_deadline_exceeded_total counter
+deptest_serve_deadline_exceeded_total 1
+# HELP deptest_serve_restarts_total Supervised daemon restarts before this incarnation.
+# TYPE deptest_serve_restarts_total counter
+deptest_serve_restarts_total 0
+# HELP deptest_serve_injected_faults_total Chaos-harness faults the server performed (accept drops, mid-frame closes, response delays).
+# TYPE deptest_serve_injected_faults_total counter
+deptest_serve_injected_faults_total 1
+# HELP deptest_serve_queue_depth Requests waiting in the server's select queue.
+# TYPE deptest_serve_queue_depth gauge
+deptest_serve_queue_depth 2
+|parity}
+
+let test_metrics_output_parity () =
+  let m = parity_registry () in
+  check Alcotest.string "to_json" expected_parity_json
+    (Dt_obs.Json.to_string (Dt_obs.Metrics.to_json m));
+  check Alcotest.string "pp" expected_parity_pp
+    (Format.asprintf "%a" Dt_obs.Metrics.pp m);
+  check Alcotest.string "to_prometheus" expected_parity_prom
+    (strip_build_info (Dt_obs.Metrics.to_prometheus m))
+
+(* wall-clock and process-specific values in the daemon's answers *)
+let rec mask_json ?(hist = false) (j : Dt_obs.Json.t) : Dt_obs.Json.t =
+  let ends_ns k =
+    let n = String.length k in
+    n >= 3 && String.sub k (n - 3) 3 = "_ns"
+  in
+  match j with
+  | Dt_obs.Json.Obj fields ->
+      Dt_obs.Json.Obj
+        (List.map
+           (fun (k, v) ->
+             if ends_ns k || k = "pid" || k = "dir" || (hist && k = "count")
+             then (k, Dt_obs.Json.String "*")
+             else (k, mask_json ~hist:(k = "latency_hist") v))
+           fields)
+  | Dt_obs.Json.List l -> Dt_obs.Json.List (List.map (mask_json ~hist) l)
+  | v -> v
+
+let mask_prom text =
+  String.split_on_char '\n' (strip_build_info text)
+  |> List.map (fun l ->
+         if l = "" || l.[0] = '#' then l
+         else
+           let name_end =
+             match String.index_opt l '{' with
+             | Some i -> i
+             | None -> String.index l ' '
+           in
+           if Astring_contains.contains (String.sub l 0 name_end) "_ns" then
+             String.sub l 0 (String.rindex l ' ') ^ " *"
+           else l)
+  |> String.concat "\n"
+
+let parity_daemon () =
+  let module E = Dt_serve.Engine in
+  let module P = Dt_serve.Protocol in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dt_obs_parity_%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let e = E.create ~jobs:1 ~cache_dir:dir () in
+  let src body =
+    "      PROGRAM PPAR\n      DO 10 I = 1, 100\n" ^ body
+    ^ "   10 CONTINUE\n      END\n"
+  in
+  let analyze ?deadline_ms ?admission source =
+    ignore
+      (E.handle ?admission e
+         (P.Analyze { source; id = None; trace_id = None; deadline_ms }))
+  in
+  let a = src "        A(I+1,I+2) = A(I,I) + B(I)\n" in
+  E.note_connection e;
+  E.note_connection e;
+  analyze a;
+  analyze a;
+  analyze (src "        A(I+1,I+2) = A(I,I) + B(I)\n        C(I) = C(I-1)\n");
+  analyze "      PROGRAM BAD\n      DO = = =\n";
+  analyze ~deadline_ms:1
+    ~admission:{ E.depth = 1; waited_ns = 5_000_000L }
+    a;
+  E.note_protocol_error e;
+  E.note_injected_fault e;
+  E.set_queue_depth e 2;
+  let health = E.handle e P.Health in
+  let json = E.handle e (P.Metrics { prometheus = false }) in
+  let prom =
+    match Dt_obs.Json.member "prometheus" (E.handle e (P.Metrics { prometheus = true })) with
+    | Some (Dt_obs.Json.String s) -> s
+    | _ -> Alcotest.fail "metrics --prom answer has no prometheus text"
+  in
+  ( Dt_obs.Json.to_string (mask_json health),
+    Dt_obs.Json.to_string (mask_json json),
+    mask_prom prom )
+
+let test_daemon_output_parity () =
+  let health, json, prom = parity_daemon () in
+  check Alcotest.string "health" expected_daemon_health health;
+  check Alcotest.string "metrics json" expected_daemon_json json;
+  check Alcotest.string "metrics prometheus" expected_daemon_prom prom
+
 (* --- Trace ------------------------------------------------------------- *)
 
 let test_trace_scope_depth () =
@@ -381,6 +972,10 @@ let suite =
       test_metrics_banerjee_counters;
     Alcotest.test_case "metrics json round-trip" `Quick
       test_metrics_json_roundtrip;
+    Alcotest.test_case "metrics output parity" `Quick
+      test_metrics_output_parity;
+    Alcotest.test_case "daemon metrics output parity" `Quick
+      test_daemon_output_parity;
     Alcotest.test_case "trace scope depths and tree" `Quick
       test_trace_scope_depth;
     Alcotest.test_case "trace scope exception-safe" `Quick
