@@ -320,9 +320,9 @@ let time_setting ~jobs ~cache ~repeat progs =
     (* fresh config per repetition: every timed run starts cache-cold,
        so the hit rate reflects one corpus pass, not the repetitions *)
     let cfg = Deptest.Analyze.Config.make ~jobs ~cache () in
-    let t0 = Dt_obs.Metrics.now_ns () in
+    let t0 = Dt_obs.Clock.now_ns () in
     let s = render_deps cfg progs in
-    let t1 = Dt_obs.Metrics.now_ns () in
+    let t1 = Dt_obs.Clock.now_ns () in
     let dt = Int64.sub t1 t0 in
     if Int64.compare dt !best < 0 then best := dt;
     out := s;
@@ -468,9 +468,9 @@ let engine_bench () =
     let best = ref Int64.max_int in
     for _ = 1 to repeat do
       let cfg = Deptest.Analyze.Config.make ~jobs ~cache:false () in
-      let t0 = Dt_obs.Metrics.now_ns () in
+      let t0 = Dt_obs.Clock.now_ns () in
       ignore (Deptest.Analyze.run_all cfg shard_progs);
-      let t1 = Dt_obs.Metrics.now_ns () in
+      let t1 = Dt_obs.Clock.now_ns () in
       let dt = Int64.sub t1 t0 in
       if Int64.compare dt !best < 0 then best := dt
     done;
@@ -682,9 +682,9 @@ let bj_measure ~repeat run_once =
   let best = ref Int64.max_int in
   for _ = 1 to repeat do
     let mt = Dt_obs.Metrics.create () in
-    let t0 = Dt_obs.Metrics.now_ns () in
+    let t0 = Dt_obs.Clock.now_ns () in
     ignore (run_once mt);
-    let t1 = Dt_obs.Metrics.now_ns () in
+    let t1 = Dt_obs.Clock.now_ns () in
     let dt = Int64.sub t1 t0 in
     if Int64.compare dt !best < 0 then best := dt
   done;
@@ -1039,7 +1039,7 @@ let ledger_bench () =
     let counters = Deptest.Counters.create () in
     let pairs = ref 0 and indep = ref 0 and degr = ref 0 in
     let gc0 = Gc.quick_stat () in
-    let t0 = Dt_obs.Metrics.now_ns () in
+    let t0 = Dt_obs.Clock.now_ns () in
     List.iter
       (fun p ->
         let r = Deptest.Analyze.run cfg p in
@@ -1049,7 +1049,7 @@ let ledger_bench () =
         indep := !indep + ni;
         degr := !degr + nd)
       progs;
-    let wall_ns = Int64.to_int (Int64.sub (Dt_obs.Metrics.now_ns ()) t0) in
+    let wall_ns = Int64.to_int (Int64.sub (Dt_obs.Clock.now_ns ()) t0) in
     let gc1 = Gc.quick_stat () in
     Dt_report.Record.make ~ts_ms:(Dt_report.Record.now_ms ()) ~label
       ~config:(Dt_report.Record.config_of cfg)
@@ -1159,12 +1159,12 @@ let serve_bench () =
         let lat =
           List.map2
             (fun src want ->
-              let t0 = Dt_obs.Metrics.now_ns () in
+              let t0 = Dt_obs.Clock.now_ns () in
               let resp =
                 Dt_serve.Client.request c
                   (Dt_serve.Protocol.Analyze { source = src; id = None; trace_id = None; deadline_ms = None })
               in
-              let ns = Int64.sub (Dt_obs.Metrics.now_ns ()) t0 in
+              let ns = Int64.sub (Dt_obs.Clock.now_ns ()) t0 in
               (match Dt_obs.Json.member "output" resp with
               | Some (Dt_obs.Json.String out) ->
                   if out <> want then identical := false
@@ -1352,7 +1352,7 @@ let reqtrace_bench () =
   let pass c =
     List.map2
       (fun src want ->
-        let t0 = Dt_obs.Metrics.now_ns () in
+        let t0 = Dt_obs.Clock.now_ns () in
         let resp =
           Dt_serve.Client.request c
             (Dt_serve.Protocol.Analyze
@@ -1363,7 +1363,7 @@ let reqtrace_bench () =
                  deadline_ms = None;
                })
         in
-        let ns = Int64.sub (Dt_obs.Metrics.now_ns ()) t0 in
+        let ns = Int64.sub (Dt_obs.Clock.now_ns ()) t0 in
         (match Dt_obs.Json.member "output" resp with
         | Some (Dt_obs.Json.String out) ->
             if out <> want then identical := false
@@ -1590,7 +1590,7 @@ let resilience_bench () =
         Unix.connect fd (Unix.ADDR_UNIX sock);
         fd)
   in
-  let t0 = Dt_obs.Metrics.now_ns () in
+  let t0 = Dt_obs.Clock.now_ns () in
   Array.iteri
     (fun c fd ->
       for k = 0 to per_conn - 1 do
@@ -1621,7 +1621,7 @@ let resilience_bench () =
             | None ->
                 incr served;
                 let ms =
-                  Int64.to_float (Int64.sub (Dt_obs.Metrics.now_ns ()) t0)
+                  Int64.to_float (Int64.sub (Dt_obs.Clock.now_ns ()) t0)
                   /. 1e6
                 in
                 admitted_ms := ms :: !admitted_ms;
@@ -1655,7 +1655,7 @@ let resilience_bench () =
   let d2 = start_daemon ~socket:sock2 in
   let n_clients = 4 in
   let per_client = n_sources / n_clients in
-  let t1 = Dt_obs.Metrics.now_ns () in
+  let t1 = Dt_obs.Clock.now_ns () in
   let workers =
     List.init n_clients (fun w ->
         Domain.spawn (fun () ->
@@ -1685,7 +1685,7 @@ let resilience_bench () =
   in
   let converged = List.for_all Domain.join workers in
   let retry_wall_ms =
-    Int64.to_float (Int64.sub (Dt_obs.Metrics.now_ns ()) t1) /. 1e6
+    Int64.to_float (Int64.sub (Dt_obs.Clock.now_ns ()) t1) /. 1e6
   in
   shutdown ~socket:sock2 d2;
   Printf.printf "  retry: %d clients x %d requests converged in %.1f ms\n%!"

@@ -266,7 +266,7 @@ let analyze_cmd =
     let agg_pairs = ref 0 and agg_indep = ref 0 and agg_degr = ref 0 in
     let routines = ref 0 in
     let gc0 = Gc.quick_stat () in
-    let t0 = Dt_obs.Metrics.now_ns () in
+    let t0 = Dt_obs.Clock.now_ns () in
     let progs =
       List.map
         (fun p ->
@@ -335,7 +335,7 @@ let analyze_cmd =
     (match metrics with
     | None -> ()
     | Some m ->
-        let wall_ns = Int64.to_int (Int64.sub (Dt_obs.Metrics.now_ns ()) t0) in
+        let wall_ns = Int64.to_int (Int64.sub (Dt_obs.Clock.now_ns ()) t0) in
         let gc1 = Gc.quick_stat () in
         (match prom with
         | Some f -> write_artifact f (Dt_obs.Metrics.to_prometheus m)

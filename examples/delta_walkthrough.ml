@@ -15,9 +15,9 @@ let walk ~title ~loops ~pairs =
       Index.Set.empty loops
   in
   List.iter (fun p -> Format.printf "subscript %a@." Spair.pp p) pairs;
-  let r =
-    Deptest.Delta.test ~trace:print_endline assume range pairs ~relevant
-  in
+  let sink = Dt_obs.Trace.make () in
+  let r = Deptest.Delta.test ~sink assume range pairs ~relevant in
+  Format.printf "%a" Dt_obs.Trace.pp_tree sink;
   (match r.Deptest.Delta.verdict with
   | `Independent -> print_endline "verdict: INDEPENDENT"
   | `Dependent parts ->

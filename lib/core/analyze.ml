@@ -294,7 +294,7 @@ let test_one ctx (w : worker) ~counters site =
   else begin
     let budget = Option.map Dt_guard.Budget.make ctx.cfuel in
     let t0 =
-      match w.metrics with Some _ -> Dt_obs.Metrics.now_ns () | None -> 0L
+      match w.metrics with Some _ -> Dt_obs.Clock.now_ns () | None -> 0L
     in
     let r =
       Dt_obs.Span.with_ w.spans Dt_obs.Span.Pair @@ fun () ->
@@ -371,7 +371,7 @@ let test_one ctx (w : worker) ~counters site =
     (match w.metrics with
     | Some m ->
         Dt_obs.Metrics.observe_pair m
-          ~ns:(Int64.sub (Dt_obs.Metrics.now_ns ()) t0)
+          ~ns:(Int64.sub (Dt_obs.Clock.now_ns ()) t0)
     | None -> ());
     r
   end

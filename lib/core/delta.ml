@@ -161,8 +161,8 @@ let relation_infeasible loops assume ~ivar ~jvar ~e =
       else false)
     loops
 
-let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?trace
-    ?(loops = []) assume range pairs ~relevant =
+let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?(loops = [])
+    assume range pairs ~relevant =
   Dt_obs.Span.with_ spans Dt_obs.Span.Delta @@ fun () ->
   let instrumented = metrics <> None || spans <> None in
   let t_start = if instrumented then Dt_obs.Clock.now_ns () else 0L in
@@ -185,16 +185,12 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?trace
   in
   let tick () = if instrumented then Dt_obs.Clock.now_ns () else 0L in
   (* [tracing] is checked before any trace string is built, so a run
-     without observers allocates nothing for tracing *)
-  let tracing = trace <> None || sink <> None in
-  let legacy s = match trace with Some f -> f s | None -> () in
+     without a sink allocates nothing for tracing *)
+  let tracing = sink <> None in
   let emit ev =
     match sink with Some sk -> Dt_obs.Trace.emit sk ev | None -> ()
   in
-  let note s =
-    legacy s;
-    emit (Dt_obs.Trace.Note s)
-  in
+  let note s = emit (Dt_obs.Trace.Note s) in
   let emit_test kind p verdict reason =
     match sink with
     | Some sk ->
@@ -218,9 +214,6 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?trace
     let old = get_constr i in
     let c' = Constr.intersect assume old c in
     if tracing then begin
-      legacy
-        (Format.asprintf "  constraint on %a: %a /\\ %a = %a" Index.pp i
-           Constr.pp old Constr.pp c Constr.pp c');
       emit
         (Dt_obs.Trace.Constraint
            {
@@ -247,7 +240,6 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?trace
         let indep = o = Outcome.Independent in
         record ~t0 Counters.Ziv_test ~indep;
         if tracing then begin
-          legacy (Format.asprintf "  ZIV test %a: %a" Spair.pp p Outcome.pp o);
           let d = Affine.sub p.Spair.snk p.Spair.src in
           emit_test Counters.Ziv_test p
             (if indep then Dt_obs.Trace.Independent
@@ -274,15 +266,10 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?trace
         in
         let indep = r.Siv.outcome = Outcome.Independent in
         record ~t0 ckind ~indep;
-        if tracing then begin
-          legacy
-            (Format.asprintf "  %s test %a: %a"
-               (Classify.to_string (Classify.Siv { index; kind }))
-               Spair.pp p Outcome.pp r.Siv.outcome);
+        if tracing then
           emit_test ckind p
             (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
-            (Siv.explain range p index r)
-        end;
+            (Siv.explain range p index r);
         pending.(k) <- false;
         match r.Siv.outcome with
         | Outcome.Independent -> raise Proved_independent
@@ -292,14 +279,10 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?trace
         let r = Rdiv.test assume range p ~src:src_index ~snk:snk_index in
         let indep = r.Rdiv.outcome = Outcome.Independent in
         record ~t0 Counters.Rdiv_test ~indep;
-        if tracing then begin
-          legacy
-            (Format.asprintf "  RDIV test %a: %a" Spair.pp p Outcome.pp
-               r.Rdiv.outcome);
+        if tracing then
           emit_test Counters.Rdiv_test p
             (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
-            (Rdiv.explain r)
-        end;
+            (Rdiv.explain r);
         pending.(k) <- false;
         match r.Rdiv.outcome with
         | Outcome.Independent -> raise Proved_independent
@@ -645,11 +628,8 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?trace
           (match Gcd_test.test p with
           | `Independent ->
               record ~t0 Counters.Gcd_miv ~indep:true;
-              if tracing then begin
-                legacy "  GCD on leftover MIV: independent";
-                emit_test Counters.Gcd_miv p Dt_obs.Trace.Independent
-                  "coefficient gcd does not divide the constant difference"
-              end;
+              emit_test Counters.Gcd_miv p Dt_obs.Trace.Independent
+                "coefficient gcd does not divide the constant difference";
               raise Proved_independent
           | `Maybe ->
               record ~t0 Counters.Gcd_miv ~indep:false;
@@ -667,11 +647,9 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?trace
           with
           | `Independent as v ->
               record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:true;
-              if tracing then begin
-                legacy "  Banerjee on leftover MIV: independent";
+              if tracing then
                 emit_test Counters.Banerjee_miv p Dt_obs.Trace.Independent
-                  (Banerjee.explain v)
-              end;
+                  (Banerjee.explain v);
               raise Proved_independent
           | `Vectors vecs as v ->
               record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:false;

@@ -33,7 +33,6 @@ val test :
   ?spans:Dt_obs.Span.t ->
   ?budget:Dt_guard.Budget.t ->
   ?scratch:Banerjee.Scratch.t ->
-  ?trace:(string -> unit) ->
   ?loops:Loop.t list ->
   Assume.t ->
   Range.t ->
@@ -41,10 +40,9 @@ val test :
   relevant:Index.Set.t ->
   result
 (** Test one minimal coupled group. [relevant] is the set of common-loop
-    indices. [trace] receives a human-readable account of every step (used
-    by the Figure-3 walkthrough example); [sink] receives the same account
-    as typed {!Dt_obs.Trace} events and [metrics] accumulates per-kind
-    timings. [spans] adds the group to the timeline: one
+    indices. [sink] receives a typed {!Dt_obs.Trace} account of every
+    step (the Figure-3 walkthrough example prints it) and [metrics]
+    accumulates per-kind timings. [spans] adds the group to the timeline: one
     {!Dt_obs.Span.Delta} bracket, one {!Dt_obs.Span.Delta_pass} per
     constraint-propagation pass, and a leaf span per exact test applied.
     When no observer is supplied no trace strings are built.

@@ -72,6 +72,12 @@ let extract j =
 
 (* ------------------------------------------------------------------ *)
 
+(* a breach needs both a relative regression past the threshold and an
+   absolute growth past [min_ns] — tiny values jitter by large factors
+   without meaning anything *)
+let breach ~threshold ~min_ns ~base ~cur =
+  cur > base *. (1. +. threshold) && cur -. base >= min_ns
+
 let compare_json ?(threshold = 0.25) ?(min_ns = 10_000.) ~base ~cur () =
   match (extract base, extract cur) with
   | Error e, _ -> Error ("baseline: " ^ e)
@@ -94,13 +100,7 @@ let compare_json ?(threshold = 0.25) ?(min_ns = 10_000.) ~base ~cur () =
           (fun l ->
             let base_count, base_ns = find l b in
             let cur_count, cur_ns = find l c in
-            (* a breach needs both a relative regression past the
-               threshold and an absolute growth past [min_ns] — tiny
-               phases jitter by large factors without meaning anything *)
-            let breach =
-              cur_ns > base_ns *. (1. +. threshold)
-              && cur_ns -. base_ns >= min_ns
-            in
+            let breach = breach ~threshold ~min_ns ~base:base_ns ~cur:cur_ns in
             { label = l; base_count; cur_count; base_ns; cur_ns; breach })
           labels
       in

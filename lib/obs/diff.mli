@@ -18,6 +18,12 @@ type row = {
 
 type report = { rows : row list; threshold : float; min_ns : float }
 
+val breach : threshold:float -> min_ns:float -> base:float -> cur:float -> bool
+(** The one threshold-and-floor rule: [cur] regressed past [base] when it
+    grew by more than the relative [threshold] {e and} by at least
+    [min_ns] absolute. {!compare_json} and the ledger's drift check
+    both apply it. *)
+
 val compare_json :
   ?threshold:float ->
   ?min_ns:float ->

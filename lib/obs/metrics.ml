@@ -9,12 +9,100 @@ let phase_name = function
   | Test -> "test"
   | Merge -> "merge"
 
-let n_phases = 4
+(* ------------------------------------------------------------------ *)
+(* the registry: named families of counters, gauges and histograms.
+   A family's declaration is shared by every registry; each registry
+   owns the family's series (label value + cells). Recorders write the
+   cells through handles resolved when the registry is created, so the
+   hot path is an array index. *)
 
-let bucket_bounds_ns =
-  [| 1_000L; 10_000L; 100_000L; 1_000_000L; 10_000_000L |]
+type kind = Counter | Gauge | Histogram of int array  (* bucket bounds, ns *)
 
-let n_buckets = Array.length bucket_bounds_ns + 1
+(* how [merge_into] combines one series: increments sum; snapshots of
+   state shared between registries (the memo table, the disk store)
+   keep the larger value, since summing registries that observed the
+   same table would double-count it *)
+type rule = Sum | Max
+
+type decl = {
+  id : int;  (* position among the built-in families; -1 for the rest *)
+  name : string;
+  help : string;
+  kind : kind;
+  rule : rule;
+  label : string option;
+  fixed : string list;
+      (* series pre-registered at creation, exported in this order;
+         series added later are exported sorted by label value *)
+  optional : bool;  (* left out of the exposition while it has no series *)
+}
+
+type family = {
+  decl : decl;
+  mutable keys : string array;  (* label value per series *)
+  mutable cells : int array;  (* [width] cells per series *)
+  mutable n : int;
+}
+
+(* a histogram series is its buckets (the bounds plus an overflow
+   bucket), then the sum of observations, then their count *)
+let width d = match d.kind with Histogram b -> Array.length b + 3 | _ -> 1
+
+let add_series f key =
+  let w = width f.decl in
+  if f.n = Array.length f.keys then begin
+    let cap = max 4 (2 * f.n) in
+    f.keys <- Array.append f.keys (Array.make (cap - f.n) "");
+    f.cells <- Array.append f.cells (Array.make ((cap - f.n) * w) 0)
+  end;
+  f.keys.(f.n) <- key;
+  f.n <- f.n + 1;
+  f.n - 1
+
+(* the series labelled [key], added at zero when new. Label values are
+   few per family (test kinds, endpoints, domains), so a scan with
+   string equality beats hashing *)
+let series f key =
+  let rec go i =
+    if i >= f.n then add_series f key
+    else if String.equal f.keys.(i) key then i
+    else go (i + 1)
+  in
+  go 0
+
+let instantiate d =
+  let keys = match d.label with None -> [ "" ] | Some _ -> d.fixed in
+  let n = List.length keys in
+  { decl = d; keys = Array.of_list keys; cells = Array.make (n * width d) 0; n }
+
+let bump f i v = f.cells.(i) <- f.cells.(i) + v
+
+let bucket_of bounds v =
+  let rec go i =
+    if i >= Array.length bounds || v <= bounds.(i) then i else go (i + 1)
+  in
+  go 0
+
+let observe f s v =
+  match f.decl.kind with
+  | Histogram bounds ->
+      let base = s * width f.decl and nb = Array.length bounds + 1 in
+      bump f (base + bucket_of bounds v) 1;
+      bump f (base + nb) v;
+      bump f (base + nb + 1) 1
+  | Counter | Gauge -> bump f s v
+
+(* (label value, series index), in export order *)
+let rows f =
+  let l = List.init f.n (fun i -> (f.keys.(i), i)) in
+  if f.decl.fixed <> [] then l
+  else
+    let key k =
+      match int_of_string_opt k with Some n -> Either.Left n | None -> Right k
+    in
+    List.stable_sort (fun (a, _) (b, _) -> compare (key a) (key b)) l
+
+let pair_bounds = [| 1_000; 10_000; 100_000; 1_000_000; 10_000_000 |]
 
 (* whole-request daemon latency: warm round trips sit in the tens of
    microseconds, cold analyses in the tens of milliseconds, so the
@@ -22,308 +110,283 @@ let n_buckets = Array.length bucket_bounds_ns + 1
    decade exists for saturation: with admission control a queued-then-
    admitted request can legitimately take seconds, and a histogram
    capped at 1s could not tell bounded queueing from a hang *)
-let serve_bucket_bounds_ns =
-  [| 100_000L; 1_000_000L; 10_000_000L; 100_000_000L; 1_000_000_000L;
-     10_000_000_000L |]
+let request_bounds =
+  [| 100_000; 1_000_000; 10_000_000; 100_000_000; 1_000_000_000;
+     10_000_000_000 |]
 
-let n_serve_buckets = Array.length serve_bucket_bounds_ns + 1
+let bucket_bounds_ns = Array.map Int64.of_int pair_bounds
+let declared = ref []
 
-(* per-endpoint serve accounting: one row per protocol op *)
-type serve_row = {
-  mutable r_count : int;
-  mutable r_sum_ns : int64;
-  r_hist : int array;  (* per serve_bucket_bounds_ns + overflow *)
-}
+(* a built-in family: every registry holds one instance, at [id] *)
+let declare ?label ?(fixed = []) ?(rule = Sum) ?(optional = false) kind name
+    help =
+  let id = List.length !declared in
+  let d = { id; name; help; kind; rule; label; fixed; optional } in
+  declared := d :: !declared;
+  d
 
-(* per-domain engine accounting: work executed by one worker domain *)
-type engine_row = {
-  mutable tasks : int;  (* grain-sized leaves executed *)
-  mutable steals : int;  (* ranges this worker took from another deque *)
-  mutable busy_ns : int64;  (* time inside leaf bodies *)
-  mutable wait_ns : int64;  (* time acquiring work (pop, steal, backoff) *)
-}
+let per_kind =
+  declare ~label:"kind" ~fixed:(List.map Test_kind.slug Test_kind.all) Counter
+
+let per_domain = declare ~label:"domain" Counter
+
+(* the built-in families, in exposition order *)
+module F = struct
+  let applied = per_kind "deptest_tests_applied_total"
+      "Dependence-test applications by test kind."
+  let indep = per_kind "deptest_tests_independent_total"
+      "Independence proofs by test kind."
+  let kind_ns = per_kind "deptest_test_ns_total"
+      "Wall-clock nanoseconds inside each test kind."
+  let phase_ns = declare ~label:"phase" ~fixed:(List.map phase_name phases)
+      Counter "deptest_phase_ns_total"
+      "Wall-clock nanoseconds per analysis phase."
+  let pairs = declare Counter "deptest_pairs_tested_total"
+      "Reference pairs that completed the driver."
+  let pair_latency = declare (Histogram pair_bounds) "deptest_pair_latency_ns"
+      "Per-reference-pair driver latency in nanoseconds."
+  let cache_hits = declare Counter "deptest_cache_hits_total"
+      "Pair verdicts served by the structural memo cache."
+  let cache_misses = declare Counter "deptest_cache_misses_total"
+      "Memo-cache lookup misses."
+  let cache_entries = declare ~rule:Max Gauge "deptest_cache_entries"
+      "Resident memo-cache entries after the run."
+  let cache_evictions = declare ~rule:Max Counter
+      "deptest_cache_evictions_total"
+      "Memo-cache entries dropped by capacity eviction."
+  let disk_hits = declare ~rule:Max Counter "deptest_disk_cache_hits_total"
+      "Verdicts served by the disk-backed cross-run store."
+  let disk_misses = declare ~rule:Max Counter "deptest_disk_cache_misses_total"
+      "Disk-store lookup misses."
+  let disk_invalid = declare ~rule:Max Counter
+      "deptest_disk_cache_invalid_total"
+      "Invalid disk-cache objects skipped (corrupt segments, tmp leftovers, \
+       undecodable entries)."
+  let bj_compile = declare Counter "deptest_banerjee_kernel_compilations_total"
+      "Subscript pairs compiled into the linear-form kernel."
+  let bj_nodes = declare ~label:"path" ~fixed:[ "incremental"; "scratch" ]
+      Counter "deptest_banerjee_nodes_total"
+      "Banerjee hierarchy-node evaluations by path."
+  let bj_caps = declare Counter "deptest_banerjee_combo_cap_fallbacks_total"
+      "Vertex cross products past the combination cap."
+  let degraded = declare ~label:"reason"
+      ~fixed:[ "overflow"; "exception"; "budget" ] Counter
+      "deptest_degraded_pairs_total"
+      "Pairs degraded to the conservative verdict, by guard reason."
+  let registries = declare Counter "deptest_engine_registries_total"
+      "Worker metrics registries merged into this snapshot."
+  let shards = declare Counter "deptest_engine_shards_total"
+      "Routine-grain shards dispatched to the work-stealing pool."
+  let eng_tasks = per_domain "deptest_engine_tasks_total"
+      "Engine work leaves executed, by worker domain."
+  let eng_steals = per_domain "deptest_engine_steals_total"
+      "Ranges stolen from another worker's deque, by thief domain."
+  let eng_busy = per_domain "deptest_engine_busy_ns_total"
+      "Nanoseconds inside leaf bodies, by worker domain."
+  let eng_wait = per_domain "deptest_engine_queue_wait_ns_total"
+      "Nanoseconds acquiring work (pop, steal, backoff), by worker domain."
+
+  (* the serve families stay out of the exposition (and the JSON) until
+     the daemon registers its endpoints and tiers, so batch-run
+     snapshots match pre-daemon ones *)
+  let requests = declare ~optional:true ~label:"endpoint"
+      (Histogram request_bounds) "deptest_serve_request_duration_ns"
+      "Whole-request daemon latency in nanoseconds, by protocol endpoint."
+  let answered = declare ~optional:true ~label:"tier" Counter
+      "deptest_serve_answered_total"
+      "Analyze requests answered, by cache tier (response / disk / memo / \
+       cold) or none for non-analyze and failed requests."
+end
+
+let builtins = Array.of_list (List.rev !declared)
 
 type t = {
-  applied : int array;  (* per Test_kind.id *)
-  indep : int array;
-  kind_ns : int64 array;
-  phase_ns : int64 array;  (* per phase_id *)
-  hist : int array;  (* per-pair latency buckets *)
-  mutable pairs : int;
-  mutable pair_ns : int64;
-  mutable cache_hits : int;  (* pair verdicts served by the memo cache *)
-  mutable cache_misses : int;
-  mutable cache_size : int;  (* resident memo entries, snapshot after a run *)
-  mutable cache_evictions : int;  (* entries dropped by capacity eviction *)
-  (* disk-cache tier (serve daemon / cross-run store), snapshot semantics *)
-  mutable disk_hits : int;
-  mutable disk_misses : int;
-  mutable disk_invalid : int;  (* corrupt segments / undecodable entries *)
-  mutable bj_compile : int;  (* Banerjee linear-form kernel compilations *)
-  mutable bj_inc_nodes : int;  (* hierarchy nodes via the incremental path *)
-  mutable bj_scratch_nodes : int;  (* nodes re-evaluated from scratch *)
-  mutable bj_caps : int;  (* vertex cross products hitting the combo cap *)
-  (* pairs degraded to the conservative full direction-vector verdict,
-     bucketed by the guard's reason *)
-  mutable g_overflow : int;
-  mutable g_exception : int;
-  mutable g_budget : int;
-  eng : (int, engine_row) Hashtbl.t;  (* per-domain engine rows *)
-  mutable eng_registries : int;  (* worker registries merged into this one *)
-  mutable eng_shards : int;  (* routine-grain shards dispatched to the pool *)
-  serve : (string, serve_row) Hashtbl.t;  (* per-endpoint request rows *)
-  answered : (string, int ref) Hashtbl.t;  (* analyze answers per cache tier *)
+  fams : family array;  (* the built-in families, by [id] *)
+  mutable extra : family list;  (* caller-registered, newest first *)
+  mutable domains : int array;  (* domain id -> engine series + 1; 0 = none *)
 }
 
 let create () =
-  {
-    applied = Array.make Test_kind.count 0;
-    indep = Array.make Test_kind.count 0;
-    kind_ns = Array.make Test_kind.count 0L;
-    phase_ns = Array.make n_phases 0L;
-    hist = Array.make n_buckets 0;
-    pairs = 0;
-    pair_ns = 0L;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_size = 0;
-    cache_evictions = 0;
-    disk_hits = 0;
-    disk_misses = 0;
-    disk_invalid = 0;
-    bj_compile = 0;
-    bj_inc_nodes = 0;
-    bj_scratch_nodes = 0;
-    bj_caps = 0;
-    g_overflow = 0;
-    g_exception = 0;
-    g_budget = 0;
-    eng = Hashtbl.create 8;
-    eng_registries = 0;
-    eng_shards = 0;
-    serve = Hashtbl.create 8;
-    answered = Hashtbl.create 8;
-  }
+  { fams = Array.map instantiate builtins; extra = []; domains = [||] }
 
-let now_ns = Clock.now_ns
+let fam t d = t.fams.(d.id)
+let inc t d i v = bump (fam t d) i v
+let read t d i = (fam t d).cells.(i)
+
+(* ------------------------------------------------------------------ *)
+(* unlabelled families registered by a caller (the daemon's own
+   counters and gauges), exported after the built-in ones *)
+
+type cell = family
+
+let register t kind rule name ~help =
+  let d =
+    { id = -1; name; help; kind; rule; label = None; fixed = [];
+      optional = false }
+  in
+  let f = instantiate d in
+  t.extra <- f :: t.extra;
+  f
+
+let counter t name ~help = register t Counter Sum name ~help
+let gauge t name ~help = register t Gauge Max name ~help
+let add c v = bump c 0 v
+let set c v = c.cells.(0) <- v
+let get c = c.cells.(0)
+
+(* ------------------------------------------------------------------ *)
+(* recorders and accessors *)
 
 let record t k ~indep ~ns =
   let i = Test_kind.id k in
-  t.applied.(i) <- t.applied.(i) + 1;
-  if indep then t.indep.(i) <- t.indep.(i) + 1;
-  t.kind_ns.(i) <- Int64.add t.kind_ns.(i) ns
+  inc t F.applied i 1;
+  if indep then inc t F.indep i 1;
+  inc t F.kind_ns i (Int64.to_int ns)
 
-let add_phase_ns t p ns =
-  let i = phase_id p in
-  t.phase_ns.(i) <- Int64.add t.phase_ns.(i) ns
+let add_phase_ns t p ns = inc t F.phase_ns (phase_id p) (Int64.to_int ns)
 
 let timed m p f =
   match m with
   | None -> f ()
   | Some t ->
-      let t0 = now_ns () in
-      Fun.protect ~finally:(fun () -> add_phase_ns t p (Int64.sub (now_ns ()) t0)) f
-
-let bucket_of ns =
-  let rec go i =
-    if i >= Array.length bucket_bounds_ns then i
-    else if Int64.compare ns bucket_bounds_ns.(i) <= 0 then i
-    else go (i + 1)
-  in
-  go 0
+      let t0 = Clock.now_ns () in
+      Fun.protect
+        ~finally:(fun () -> add_phase_ns t p (Int64.sub (Clock.now_ns ()) t0))
+        f
 
 let observe_pair t ~ns =
-  t.pairs <- t.pairs + 1;
-  t.pair_ns <- Int64.add t.pair_ns ns;
-  let b = bucket_of ns in
-  t.hist.(b) <- t.hist.(b) + 1
+  inc t F.pairs 0 1;
+  observe (fam t F.pair_latency) 0 (Int64.to_int ns)
 
-let cache_hit t = t.cache_hits <- t.cache_hits + 1
-let cache_miss t = t.cache_misses <- t.cache_misses + 1
-let cache_hits t = t.cache_hits
-let cache_misses t = t.cache_misses
+let cache_hit t = inc t F.cache_hits 0 1
+let cache_miss t = inc t F.cache_misses 0 1
+let cache_hits t = read t F.cache_hits 0
+let cache_misses t = read t F.cache_misses 0
 
 let set_cache_usage t ~size ~evictions =
-  t.cache_size <- size;
-  t.cache_evictions <- evictions
+  set (fam t F.cache_entries) size;
+  set (fam t F.cache_evictions) evictions
 
-let cache_size t = t.cache_size
-let cache_evictions t = t.cache_evictions
+let cache_size t = read t F.cache_entries 0
+let cache_evictions t = read t F.cache_evictions 0
 
 let set_disk_cache t ~hits ~misses ~invalid =
-  t.disk_hits <- hits;
-  t.disk_misses <- misses;
-  t.disk_invalid <- invalid
+  set (fam t F.disk_hits) hits;
+  set (fam t F.disk_misses) misses;
+  set (fam t F.disk_invalid) invalid
 
-let disk_hits t = t.disk_hits
-let disk_misses t = t.disk_misses
-let disk_invalid t = t.disk_invalid
-
-let banerjee_compile t = t.bj_compile <- t.bj_compile + 1
+let disk_hits t = read t F.disk_hits 0
+let disk_misses t = read t F.disk_misses 0
+let disk_invalid t = read t F.disk_invalid 0
+let banerjee_compile t = inc t F.bj_compile 0 1
 
 let banerjee_node t ~incremental =
-  if incremental then t.bj_inc_nodes <- t.bj_inc_nodes + 1
-  else t.bj_scratch_nodes <- t.bj_scratch_nodes + 1
+  inc t F.bj_nodes (if incremental then 0 else 1) 1
 
-let banerjee_cap t = t.bj_caps <- t.bj_caps + 1
+let banerjee_cap t = inc t F.bj_caps 0 1
+let banerjee_compilations t = read t F.bj_compile 0
+let banerjee_incremental_nodes t = read t F.bj_nodes 0
+let banerjee_scratch_nodes t = read t F.bj_nodes 1
+let banerjee_caps t = read t F.bj_caps 0
+let reason_id = function `Overflow -> 0 | `Exception -> 1 | `Budget -> 2
+let degraded t reason = inc t F.degraded (reason_id reason) 1
+let degraded_by t reason = read t F.degraded (reason_id reason)
 
-let degraded t reason =
-  match reason with
-  | `Overflow -> t.g_overflow <- t.g_overflow + 1
-  | `Exception -> t.g_exception <- t.g_exception + 1
-  | `Budget -> t.g_budget <- t.g_budget + 1
+let degraded_pairs t =
+  degraded_by t `Overflow + degraded_by t `Exception + degraded_by t `Budget
 
-let degraded_pairs t = t.g_overflow + t.g_exception + t.g_budget
-
-let degraded_by t reason =
-  match reason with
-  | `Overflow -> t.g_overflow
-  | `Exception -> t.g_exception
-  | `Budget -> t.g_budget
-
-let engine_row t domain =
-  match Hashtbl.find_opt t.eng domain with
-  | Some r -> r
-  | None ->
-      let r = { tasks = 0; steals = 0; busy_ns = 0L; wait_ns = 0L } in
-      Hashtbl.replace t.eng domain r;
-      r
+(* the four per-domain families always gain a domain together, so one
+   series index addresses all four *)
+let domain_series t d =
+  if d < Array.length t.domains && t.domains.(d) > 0 then t.domains.(d) - 1
+  else begin
+    let key = string_of_int d in
+    let s = series (fam t F.eng_tasks) key in
+    List.iter
+      (fun f -> ignore (series (fam t f) key))
+      [ F.eng_steals; F.eng_busy; F.eng_wait ];
+    if d >= Array.length t.domains then
+      t.domains <-
+        Array.append t.domains (Array.make (d + 1 - Array.length t.domains) 0);
+    t.domains.(d) <- s + 1;
+    s
+  end
 
 let engine_task t ~domain ~ns =
-  let r = engine_row t domain in
-  r.tasks <- r.tasks + 1;
-  r.busy_ns <- Int64.add r.busy_ns ns
+  let s = domain_series t domain in
+  inc t F.eng_tasks s 1;
+  inc t F.eng_busy s (Int64.to_int ns)
 
 let engine_wait t ~domain ~ns =
-  let r = engine_row t domain in
-  r.wait_ns <- Int64.add r.wait_ns ns
+  inc t F.eng_wait (domain_series t domain) (Int64.to_int ns)
 
-let engine_steal t ~domain =
-  let r = engine_row t domain in
-  r.steals <- r.steals + 1
-
-let engine_registry t = t.eng_registries <- t.eng_registries + 1
-let engine_registries t = t.eng_registries
-let engine_shards t ~n = t.eng_shards <- t.eng_shards + n
-let shards t = t.eng_shards
+let engine_steal t ~domain = inc t F.eng_steals (domain_series t domain) 1
+let engine_registry t = inc t F.registries 0 1
+let engine_registries t = read t F.registries 0
+let engine_shards t ~n = inc t F.shards 0 n
+let shards t = read t F.shards 0
 
 let engine_rows t =
-  Hashtbl.fold
-    (fun d r acc -> (d, r.tasks, r.steals, r.busy_ns, r.wait_ns) :: acc)
-    t.eng []
-  |> List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> compare a b)
-let serve_row t endpoint =
-  match Hashtbl.find_opt t.serve endpoint with
-  | Some r -> r
-  | None ->
-      let r = { r_count = 0; r_sum_ns = 0L; r_hist = Array.make n_serve_buckets 0 }
-      in
-      Hashtbl.replace t.serve endpoint r;
-      r
+  List.map
+    (fun (k, s) ->
+      ( int_of_string k,
+        read t F.eng_tasks s,
+        read t F.eng_steals s,
+        Int64.of_int (read t F.eng_busy s),
+        Int64.of_int (read t F.eng_wait s) ))
+    (rows (fam t F.eng_tasks))
 
-let serve_bucket_of ns =
-  let rec go i =
-    if i >= Array.length serve_bucket_bounds_ns then i
-    else if Int64.compare ns serve_bucket_bounds_ns.(i) <= 0 then i
-    else go (i + 1)
-  in
-  go 0
-
-let serve_endpoint t ~endpoint = ignore (serve_row t endpoint)
+let serve_endpoint t ~endpoint = ignore (series (fam t F.requests) endpoint)
 
 let serve_request t ~endpoint ~ns =
-  let r = serve_row t endpoint in
-  r.r_count <- r.r_count + 1;
-  r.r_sum_ns <- Int64.add r.r_sum_ns ns;
-  let b = serve_bucket_of ns in
-  r.r_hist.(b) <- r.r_hist.(b) + 1
+  let f = fam t F.requests in
+  observe f (series f endpoint) (Int64.to_int ns)
 
-let tier_cell t tier =
-  match Hashtbl.find_opt t.answered tier with
-  | Some c -> c
-  | None ->
-      let c = ref 0 in
-      Hashtbl.replace t.answered tier c;
-      c
+let serve_tier t ~tier = ignore (series (fam t F.answered) tier)
 
-let serve_tier t ~tier = ignore (tier_cell t tier)
-let serve_answered t ~tier = incr (tier_cell t tier)
+let serve_answered t ~tier =
+  let f = fam t F.answered in
+  bump f (series f tier) 1
 
-let serve_rows t =
-  Hashtbl.fold
-    (fun ep r acc -> (ep, r.r_count, r.r_sum_ns, Array.copy r.r_hist) :: acc)
-    t.serve []
-  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+let applied t k = read t F.applied (Test_kind.id k)
+let proved_indep t k = read t F.indep (Test_kind.id k)
+let kind_ns t k = Int64.of_int (read t F.kind_ns (Test_kind.id k))
+let phase_ns t p = Int64.of_int (read t F.phase_ns (phase_id p))
+let pairs t = read t F.pairs 0
+let n_pair_buckets = Array.length pair_bounds + 1
+let pair_ns_total t = Int64.of_int (read t F.pair_latency n_pair_buckets)
+let latency_hist t = Array.sub (fam t F.pair_latency).cells 0 n_pair_buckets
 
-let serve_tiers t =
-  Hashtbl.fold (fun tier c acc -> (tier, !c) :: acc) t.answered []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* ------------------------------------------------------------------ *)
+(* merge, derived from the declarations *)
 
-let banerjee_compilations t = t.bj_compile
-let banerjee_incremental_nodes t = t.bj_inc_nodes
-let banerjee_scratch_nodes t = t.bj_scratch_nodes
-let banerjee_caps t = t.bj_caps
+let merge_family acc (ef : family) =
+  let w = width ef.decl in
+  let combine = match ef.decl.rule with Sum -> ( + ) | Max -> max in
+  for s = 0 to ef.n - 1 do
+    let key = ef.keys.(s) in
+    let d =
+      if s < acc.n && String.equal acc.keys.(s) key then s else series acc key
+    in
+    for c = 0 to w - 1 do
+      acc.cells.((d * w) + c) <-
+        combine acc.cells.((d * w) + c) ef.cells.((s * w) + c)
+    done
+  done
 
-let applied t k = t.applied.(Test_kind.id k)
-let proved_indep t k = t.indep.(Test_kind.id k)
-let kind_ns t k = t.kind_ns.(Test_kind.id k)
-let phase_ns t p = t.phase_ns.(phase_id p)
-let pairs t = t.pairs
-let pair_ns_total t = t.pair_ns
-let latency_hist t = Array.copy t.hist
-
+(* built-in families pair up by id, caller-registered ones by name *)
 let merge_into acc extra =
-  Array.iteri (fun i v -> acc.applied.(i) <- acc.applied.(i) + v) extra.applied;
-  Array.iteri (fun i v -> acc.indep.(i) <- acc.indep.(i) + v) extra.indep;
-  Array.iteri
-    (fun i v -> acc.kind_ns.(i) <- Int64.add acc.kind_ns.(i) v)
-    extra.kind_ns;
-  Array.iteri
-    (fun i v -> acc.phase_ns.(i) <- Int64.add acc.phase_ns.(i) v)
-    extra.phase_ns;
-  Array.iteri (fun i v -> acc.hist.(i) <- acc.hist.(i) + v) extra.hist;
-  acc.pairs <- acc.pairs + extra.pairs;
-  acc.pair_ns <- Int64.add acc.pair_ns extra.pair_ns;
-  acc.cache_hits <- acc.cache_hits + extra.cache_hits;
-  acc.cache_misses <- acc.cache_misses + extra.cache_misses;
-  (* size/evictions are snapshots of a shared table, not per-registry
-     increments: summing registries that observed the same cache would
-     double-count, so the merge keeps the larger snapshot *)
-  acc.cache_size <- max acc.cache_size extra.cache_size;
-  acc.cache_evictions <- max acc.cache_evictions extra.cache_evictions;
-  (* disk-tier counters are likewise snapshots of one shared store *)
-  acc.disk_hits <- max acc.disk_hits extra.disk_hits;
-  acc.disk_misses <- max acc.disk_misses extra.disk_misses;
-  acc.disk_invalid <- max acc.disk_invalid extra.disk_invalid;
-  acc.bj_compile <- acc.bj_compile + extra.bj_compile;
-  acc.bj_inc_nodes <- acc.bj_inc_nodes + extra.bj_inc_nodes;
-  acc.bj_scratch_nodes <- acc.bj_scratch_nodes + extra.bj_scratch_nodes;
-  acc.bj_caps <- acc.bj_caps + extra.bj_caps;
-  acc.g_overflow <- acc.g_overflow + extra.g_overflow;
-  acc.g_exception <- acc.g_exception + extra.g_exception;
-  acc.g_budget <- acc.g_budget + extra.g_budget;
-  Hashtbl.iter
-    (fun d (er : engine_row) ->
-      let r = engine_row acc d in
-      r.tasks <- r.tasks + er.tasks;
-      r.steals <- r.steals + er.steals;
-      r.busy_ns <- Int64.add r.busy_ns er.busy_ns;
-      r.wait_ns <- Int64.add r.wait_ns er.wait_ns)
-    extra.eng;
-  acc.eng_registries <- acc.eng_registries + extra.eng_registries;
-  acc.eng_shards <- acc.eng_shards + extra.eng_shards;
-  Hashtbl.iter
-    (fun ep (er : serve_row) ->
-      let r = serve_row acc ep in
-      r.r_count <- r.r_count + er.r_count;
-      r.r_sum_ns <- Int64.add r.r_sum_ns er.r_sum_ns;
-      Array.iteri (fun i v -> r.r_hist.(i) <- r.r_hist.(i) + v) er.r_hist)
-    extra.serve;
-  Hashtbl.iter
-    (fun tier c ->
-      let cell = tier_cell acc tier in
-      cell := !cell + !c)
-    extra.answered
+  Array.iteri (fun i f -> merge_family acc.fams.(i) f) extra.fams;
+  List.iter
+    (fun ef ->
+      let name = ef.decl.name in
+      match List.find_opt (fun f -> f.decl.name = name) acc.extra with
+      | Some af -> merge_family af ef
+      | None ->
+          let af = { ef with keys = [||]; cells = [||]; n = 0 } in
+          acc.extra <- af :: acc.extra;
+          merge_family af ef)
+    (List.rev extra.extra)
 
 let merge a b =
   let t = create () in
@@ -332,31 +395,52 @@ let merge a b =
   t
 
 (* ------------------------------------------------------------------ *)
-(* export                                                              *)
+(* export *)
 
-let bucket_label i =
-  if i < Array.length bucket_bounds_ns then
-    let b = bucket_bounds_ns.(i) in
-    if Int64.compare b 1_000_000L < 0 then
-      Printf.sprintf "<=%Ldus" (Int64.div b 1_000L)
-    else Printf.sprintf "<=%Ldms" (Int64.div b 1_000_000L)
-  else ">10ms"
+let bucket_label bounds i =
+  let unit b =
+    if b < 1_000_000 then Printf.sprintf "%dus" (b / 1_000)
+    else if b < 1_000_000_000 then Printf.sprintf "%dms" (b / 1_000_000)
+    else Printf.sprintf "%ds" (b / 1_000_000_000)
+  in
+  if i < Array.length bounds then "<=" ^ unit bounds.(i)
+  else ">" ^ unit bounds.(Array.length bounds - 1)
 
-let serve_bucket_label i =
-  if i < Array.length serve_bucket_bounds_ns then
-    let b = serve_bucket_bounds_ns.(i) in
-    if Int64.compare b 1_000_000L < 0 then
-      Printf.sprintf "<=%Ldus" (Int64.div b 1_000L)
-    else if Int64.compare b 1_000_000_000L < 0 then
-      Printf.sprintf "<=%Ldms" (Int64.div b 1_000_000L)
-    else Printf.sprintf "<=%Lds" (Int64.div b 1_000_000_000L)
-  else ">10s"
+let hist_json f s =
+  let bounds = match f.decl.kind with Histogram b -> b | _ -> [||] in
+  let base = s * width f.decl in
+  Json.List
+    (List.init
+       (Array.length bounds + 1)
+       (fun i ->
+         Json.Obj
+           [
+             ( "le_ns",
+               if i < Array.length bounds then Json.Int bounds.(i) else Json.Null
+             );
+             ("label", Json.String (bucket_label bounds i));
+             ("count", Json.Int f.cells.(base + i));
+           ]))
+
+(* (endpoint, requests, total_ns, series) sorted by endpoint *)
+let request_rows t =
+  let nb = Array.length request_bounds + 1 and w = width F.requests in
+  List.map
+    (fun (ep, s) ->
+      let total = read t F.requests ((s * w) + nb) in
+      (ep, read t F.requests ((s * w) + nb + 1), total, s))
+    (rows (fam t F.requests))
+
+let tier_rows t =
+  List.map
+    (fun (tier, s) -> (tier, read t F.answered s))
+    (rows (fam t F.answered))
 
 (* the serve block appears only once the daemon reported, so batch-run
    snapshots (analyze --metrics-out, records, the drift ledger) are
    byte-identical to pre-serve ones *)
 let serve_json t =
-  if Hashtbl.length t.serve = 0 && Hashtbl.length t.answered = 0 then []
+  if (fam t F.requests).n = 0 && (fam t F.answered).n = 0 then []
   else
     [
       ( "serve",
@@ -365,40 +449,18 @@ let serve_json t =
             ( "endpoints",
               Json.List
                 (List.map
-                   (fun (ep, count, sum_ns, hist) ->
+                   (fun (ep, count, sum, s) ->
                      Json.Obj
                        [
                          ("endpoint", Json.String ep);
                          ("requests", Json.Int count);
-                         ("total_ns", Json.Int (Int64.to_int sum_ns));
-                         ( "latency_hist",
-                           Json.List
-                             (Array.to_list
-                                (Array.mapi
-                                   (fun i c ->
-                                     Json.Obj
-                                       [
-                                         ( "le_ns",
-                                           if
-                                             i
-                                             < Array.length
-                                                 serve_bucket_bounds_ns
-                                           then
-                                             Json.Int
-                                               (Int64.to_int
-                                                  serve_bucket_bounds_ns.(i))
-                                           else Json.Null );
-                                         ( "label",
-                                           Json.String (serve_bucket_label i)
-                                         );
-                                         ("count", Json.Int c);
-                                       ])
-                                   hist)) );
+                         ("total_ns", Json.Int sum);
+                         ("latency_hist", hist_json (fam t F.requests) s);
                        ])
-                   (serve_rows t)) );
+                   (request_rows t)) );
             ( "answered",
               Json.Obj
-                (List.map (fun (tier, n) -> (tier, Json.Int n)) (serve_tiers t))
+                (List.map (fun (tier, n) -> (tier, Json.Int n)) (tier_rows t))
             );
           ] );
     ]
@@ -407,14 +469,13 @@ let to_json t =
   let tests =
     List.map
       (fun k ->
-        let i = Test_kind.id k in
         Json.Obj
           [
             ("kind", Json.String (Test_kind.slug k));
             ("name", Json.String (Test_kind.name k));
-            ("applied", Json.Int t.applied.(i));
-            ("independent", Json.Int t.indep.(i));
-            ("total_ns", Json.Int (Int64.to_int t.kind_ns.(i)));
+            ("applied", Json.Int (applied t k));
+            ("independent", Json.Int (proved_indep t k));
+            ("total_ns", Json.Int (Int64.to_int (kind_ns t k)));
           ])
       Test_kind.all
   in
@@ -422,18 +483,6 @@ let to_json t =
     List.map
       (fun p -> (phase_name p ^ "_ns", Json.Int (Int64.to_int (phase_ns t p))))
       phases
-  in
-  let hist =
-    List.init n_buckets (fun i ->
-        Json.Obj
-          [
-            ( "le_ns",
-              if i < Array.length bucket_bounds_ns then
-                Json.Int (Int64.to_int bucket_bounds_ns.(i))
-              else Json.Null );
-            ("label", Json.String (bucket_label i));
-            ("count", Json.Int t.hist.(i));
-          ])
   in
   Json.Obj
     ([
@@ -444,33 +493,33 @@ let to_json t =
       ( "pairs",
         Json.Obj
           [
-            ("tested", Json.Int t.pairs);
-            ("total_ns", Json.Int (Int64.to_int t.pair_ns));
-            ("latency_hist", Json.List hist);
+            ("tested", Json.Int (pairs t));
+            ("total_ns", Json.Int (Int64.to_int (pair_ns_total t)));
+            ("latency_hist", hist_json (fam t F.pair_latency) 0);
           ] );
       ( "cache",
         Json.Obj
           [
-            ("hits", Json.Int t.cache_hits);
-            ("misses", Json.Int t.cache_misses);
+            ("hits", Json.Int (cache_hits t));
+            ("misses", Json.Int (cache_misses t));
             ( "hit_rate",
-              let n = t.cache_hits + t.cache_misses in
+              let n = cache_hits t + cache_misses t in
               Json.Float
                 (if n = 0 then 0.
-                 else float_of_int t.cache_hits /. float_of_int n) );
-            ("size", Json.Int t.cache_size);
-            ("evictions", Json.Int t.cache_evictions);
-            ("disk_hits", Json.Int t.disk_hits);
-            ("disk_misses", Json.Int t.disk_misses);
-            ("disk_invalid", Json.Int t.disk_invalid);
+                 else float_of_int (cache_hits t) /. float_of_int n) );
+            ("size", Json.Int (cache_size t));
+            ("evictions", Json.Int (cache_evictions t));
+            ("disk_hits", Json.Int (disk_hits t));
+            ("disk_misses", Json.Int (disk_misses t));
+            ("disk_invalid", Json.Int (disk_invalid t));
           ] );
       ( "banerjee",
         Json.Obj
           [
-            ("kernel_compilations", Json.Int t.bj_compile);
-            ("incremental_nodes", Json.Int t.bj_inc_nodes);
-            ("scratch_nodes", Json.Int t.bj_scratch_nodes);
-            ("combo_cap_fallbacks", Json.Int t.bj_caps);
+            ("kernel_compilations", Json.Int (banerjee_compilations t));
+            ("incremental_nodes", Json.Int (banerjee_incremental_nodes t));
+            ("scratch_nodes", Json.Int (banerjee_scratch_nodes t));
+            ("combo_cap_fallbacks", Json.Int (banerjee_caps t));
           ] );
       ( "guard",
         Json.Obj
@@ -479,19 +528,18 @@ let to_json t =
             ( "by_reason",
               Json.Obj
                 [
-                  ("overflow", Json.Int t.g_overflow);
-                  ("exception", Json.Int t.g_exception);
-                  ("budget", Json.Int t.g_budget);
+                  ("overflow", Json.Int (degraded_by t `Overflow));
+                  ("exception", Json.Int (degraded_by t `Exception));
+                  ("budget", Json.Int (degraded_by t `Budget));
                 ] );
           ] );
       ( "engine",
         let rows = engine_rows t in
         let sum f = List.fold_left (fun a r -> a + f r) 0 rows in
-        let sum64 f = List.fold_left (fun a r -> Int64.add a (f r)) 0L rows in
         Json.Obj
           [
-            ("registries", Json.Int t.eng_registries);
-            ("shards", Json.Int t.eng_shards);
+            ("registries", Json.Int (engine_registries t));
+            ("shards", Json.Int (shards t));
             ( "domains",
               Json.List
                 (List.map
@@ -507,10 +555,9 @@ let to_json t =
                    rows) );
             ("tasks", Json.Int (sum (fun (_, n, _, _, _) -> n)));
             ("steals", Json.Int (sum (fun (_, _, s, _, _) -> s)));
-            ( "busy_ns",
-              Json.Int (Int64.to_int (sum64 (fun (_, _, _, b, _) -> b))) );
+            ("busy_ns", Json.Int (sum (fun (_, _, _, b, _) -> Int64.to_int b)));
             ( "queue_wait_ns",
-              Json.Int (Int64.to_int (sum64 (fun (_, _, _, _, w) -> w))) );
+              Json.Int (sum (fun (_, _, _, _, w) -> Int64.to_int w)) );
           ] );
     ]
     @ serve_json t)
@@ -522,52 +569,55 @@ let pp ppf t =
     "total(us)" "avg(ns)";
   List.iter
     (fun k ->
-      let i = Test_kind.id k in
-      let a = t.applied.(i) in
+      let a = applied t k in
       if a > 0 then
         Format.fprintf ppf "%-18s %9d %9d %12.1f %10.0f@." (Test_kind.name k)
-          a t.indep.(i)
-          (us t.kind_ns.(i))
-          (Int64.to_float t.kind_ns.(i) /. float_of_int a))
+          a (proved_indep t k)
+          (us (kind_ns t k))
+          (Int64.to_float (kind_ns t k) /. float_of_int a))
     Test_kind.all;
   Format.fprintf ppf "@.%-18s %12s@." "phase" "wall(us)";
   List.iter
     (fun p -> Format.fprintf ppf "%-18s %12.1f@." (phase_name p) (us (phase_ns t p)))
     phases;
-  Format.fprintf ppf "@.pairs tested %d, total %.1f us@." t.pairs (us t.pair_ns);
-  (if t.cache_hits + t.cache_misses > 0 then
-     let n = t.cache_hits + t.cache_misses in
+  Format.fprintf ppf "@.pairs tested %d, total %.1f us@." (pairs t)
+    (us (pair_ns_total t));
+  (let hits = cache_hits t and size = cache_size t in
+   let n = hits + cache_misses t in
+   if n > 0 then
      Format.fprintf ppf
        "memo cache: %d hits / %d lookups (%.1f%%), %d entr%s resident, %d \
         evicted@."
-       t.cache_hits n
-       (100. *. float_of_int t.cache_hits /. float_of_int n)
-       t.cache_size
-       (if t.cache_size = 1 then "y" else "ies")
-       t.cache_evictions);
-  if t.disk_hits + t.disk_misses + t.disk_invalid > 0 then
+       hits n
+       (100. *. float_of_int hits /. float_of_int n)
+       size
+       (if size = 1 then "y" else "ies")
+       (cache_evictions t));
+  if disk_hits t + disk_misses t + disk_invalid t > 0 then
     Format.fprintf ppf
-      "disk cache: %d hits / %d lookups, %d invalid object(s)@." t.disk_hits
-      (t.disk_hits + t.disk_misses)
-      t.disk_invalid;
-  if t.bj_compile + t.bj_inc_nodes + t.bj_scratch_nodes + t.bj_caps > 0 then
-    Format.fprintf ppf
-      "banerjee kernel: %d compiled, %d incremental / %d scratch nodes, %d \
-       cap fallback(s)@."
-      t.bj_compile t.bj_inc_nodes t.bj_scratch_nodes t.bj_caps;
+      "disk cache: %d hits / %d lookups, %d invalid object(s)@." (disk_hits t)
+      (disk_hits t + disk_misses t)
+      (disk_invalid t);
+  (let c = banerjee_compilations t and i = banerjee_incremental_nodes t in
+   let s = banerjee_scratch_nodes t and caps = banerjee_caps t in
+   if c + i + s + caps > 0 then
+     Format.fprintf ppf
+       "banerjee kernel: %d compiled, %d incremental / %d scratch nodes, %d \
+        cap fallback(s)@."
+       c i s caps);
   if degraded_pairs t > 0 then
     Format.fprintf ppf
       "guard: %d pair(s) degraded conservatively (%d overflow, %d \
        exception, %d budget)@."
-      (degraded_pairs t) t.g_overflow t.g_exception t.g_budget;
-  (let rows = engine_rows t in
+      (degraded_pairs t) (degraded_by t `Overflow) (degraded_by t `Exception)
+      (degraded_by t `Budget);
+  (let rows = engine_rows t and regs = engine_registries t in
    if rows <> [] then begin
-     Format.fprintf ppf "engine: %d worker registr%s merged%t@."
-       t.eng_registries
-       (if t.eng_registries = 1 then "y" else "ies")
+     Format.fprintf ppf "engine: %d worker registr%s merged%t@." regs
+       (if regs = 1 then "y" else "ies")
        (fun ppf ->
-         if t.eng_shards > 0 then
-           Format.fprintf ppf ", %d routine shard(s)" t.eng_shards);
+         if shards t > 0 then
+           Format.fprintf ppf ", %d routine shard(s)" (shards t));
      List.iter
        (fun (d, tasks, steals, busy, wait) ->
          Format.fprintf ppf
@@ -576,17 +626,16 @@ let pp ppf t =
            d tasks steals (us busy) (us wait))
        rows
    end);
-  (let rows = serve_rows t in
+  (let rows = request_rows t in
    if rows <> [] then begin
      List.iter
-       (fun (ep, count, sum_ns, _) ->
+       (fun (ep, count, sum, _) ->
          Format.fprintf ppf
            "serve %-10s %d request(s), total %.1f us, avg %.0f ns@." ep count
-           (us sum_ns)
-           (if count = 0 then 0.
-            else Int64.to_float sum_ns /. float_of_int count))
+           (us (Int64.of_int sum))
+           (if count = 0 then 0. else float_of_int sum /. float_of_int count))
        rows;
-     match serve_tiers t with
+     match tier_rows t with
      | [] -> ()
      | tiers ->
          Format.fprintf ppf "serve answered:";
@@ -595,14 +644,15 @@ let pp ppf t =
    end);
   Format.fprintf ppf "pair latency:";
   Array.iteri
-    (fun i c -> if c > 0 then Format.fprintf ppf " %s:%d" (bucket_label i) c)
-    t.hist;
+    (fun i c ->
+      if c > 0 then Format.fprintf ppf " %s:%d" (bucket_label pair_bounds i) c)
+    (latency_hist t);
   Format.fprintf ppf "@."
 
 (* ------------------------------------------------------------------ *)
-(* Prometheus text-format exposition (the surface a serve daemon's
-   /metrics endpoint mounts). Metric names are stable; every per-kind
-   series is emitted even at zero so scrapes never lose a series. *)
+(* Prometheus text-format exposition, derived from the declarations:
+   families in registration order, fixed series in declaration order
+   (every per-kind series even at zero, so scrapes never lose one). *)
 
 let prom_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -616,212 +666,68 @@ let prom_escape s =
     s;
   Buffer.contents buf
 
+let type_name = function
+  | Counter -> "counter"
+  | Gauge -> "gauge"
+  | Histogram _ -> "histogram"
+
 let to_prometheus ?(build = []) t =
   let buf = Buffer.create 4096 in
-  let family name typ help =
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ)
+  let header name typ help =
+    Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name help name typ
   in
-  let sample ?labels name v =
+  let sample name labels v =
     Buffer.add_string buf name;
-    (match labels with
-    | Some ls ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf
-              (Printf.sprintf "%s=\"%s\"" k (prom_escape v)))
-          ls;
-        Buffer.add_char buf '}'
-    | None -> ());
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf v;
-    Buffer.add_char buf '\n'
-  in
-  let int_sample ?labels name v = sample ?labels name (string_of_int v) in
-  let ns_sample ?labels name v = sample ?labels name (Int64.to_string v) in
-  let per_kind name f =
-    List.iter
-      (fun k -> f ~labels:[ ("kind", Test_kind.slug k) ] name (Test_kind.id k))
-      Test_kind.all
+    if labels <> [] then begin
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Printf.bprintf buf "%s=\"%s\"" k (prom_escape v))
+        labels;
+      Buffer.add_char buf '}'
+    end;
+    Printf.bprintf buf " %d\n" v
   in
   (* identity first: scrapes correlate drift with deploys by joining on
      these labels (label values must stay space-free for text-format
      consumers that split on whitespace) *)
-  family "deptest_build_info" "gauge"
+  header "deptest_build_info" "gauge"
     "Build and schema identity of this process (value is always 1).";
-  sample
-    ~labels:
-      ([
-         ("git", Build_id.git);
-         ("metrics_schema", "deptest-metrics/2");
-         ("trace_schema", "deptest-trace/2");
-       ]
-      @ build)
-    "deptest_build_info" "1";
-  family "deptest_tests_applied_total" "counter"
-    "Dependence-test applications by test kind.";
-  per_kind "deptest_tests_applied_total" (fun ~labels name i ->
-      int_sample ~labels name t.applied.(i));
-  family "deptest_tests_independent_total" "counter"
-    "Independence proofs by test kind.";
-  per_kind "deptest_tests_independent_total" (fun ~labels name i ->
-      int_sample ~labels name t.indep.(i));
-  family "deptest_test_ns_total" "counter"
-    "Wall-clock nanoseconds inside each test kind.";
-  per_kind "deptest_test_ns_total" (fun ~labels name i ->
-      ns_sample ~labels name t.kind_ns.(i));
-  family "deptest_phase_ns_total" "counter"
-    "Wall-clock nanoseconds per analysis phase.";
+  sample "deptest_build_info"
+    ([
+       ("git", Build_id.git);
+       ("metrics_schema", "deptest-metrics/2");
+       ("trace_schema", "deptest-trace/2");
+     ]
+    @ build)
+    1;
   List.iter
-    (fun p ->
-      ns_sample
-        ~labels:[ ("phase", phase_name p) ]
-        "deptest_phase_ns_total" (phase_ns t p))
-    phases;
-  family "deptest_pairs_tested_total" "counter"
-    "Reference pairs that completed the driver.";
-  int_sample "deptest_pairs_tested_total" t.pairs;
-  family "deptest_pair_latency_ns" "histogram"
-    "Per-reference-pair driver latency in nanoseconds.";
-  (let cum = ref 0 in
-   Array.iteri
-     (fun i c ->
-       cum := !cum + c;
-       let le =
-         if i < Array.length bucket_bounds_ns then
-           Int64.to_string bucket_bounds_ns.(i)
-         else "+Inf"
-       in
-       int_sample ~labels:[ ("le", le) ] "deptest_pair_latency_ns_bucket" !cum)
-     t.hist);
-  ns_sample "deptest_pair_latency_ns_sum" t.pair_ns;
-  int_sample "deptest_pair_latency_ns_count" t.pairs;
-  family "deptest_cache_hits_total" "counter"
-    "Pair verdicts served by the structural memo cache.";
-  int_sample "deptest_cache_hits_total" t.cache_hits;
-  family "deptest_cache_misses_total" "counter" "Memo-cache lookup misses.";
-  int_sample "deptest_cache_misses_total" t.cache_misses;
-  family "deptest_cache_entries" "gauge"
-    "Resident memo-cache entries after the run.";
-  int_sample "deptest_cache_entries" t.cache_size;
-  family "deptest_cache_evictions_total" "counter"
-    "Memo-cache entries dropped by capacity eviction.";
-  int_sample "deptest_cache_evictions_total" t.cache_evictions;
-  family "deptest_disk_cache_hits_total" "counter"
-    "Verdicts served by the disk-backed cross-run store.";
-  int_sample "deptest_disk_cache_hits_total" t.disk_hits;
-  family "deptest_disk_cache_misses_total" "counter"
-    "Disk-store lookup misses.";
-  int_sample "deptest_disk_cache_misses_total" t.disk_misses;
-  family "deptest_disk_cache_invalid_total" "counter"
-    "Invalid disk-cache objects skipped (corrupt segments, tmp leftovers, \
-     undecodable entries).";
-  int_sample "deptest_disk_cache_invalid_total" t.disk_invalid;
-  family "deptest_banerjee_kernel_compilations_total" "counter"
-    "Subscript pairs compiled into the linear-form kernel.";
-  int_sample "deptest_banerjee_kernel_compilations_total" t.bj_compile;
-  family "deptest_banerjee_nodes_total" "counter"
-    "Banerjee hierarchy-node evaluations by path.";
-  int_sample
-    ~labels:[ ("path", "incremental") ]
-    "deptest_banerjee_nodes_total" t.bj_inc_nodes;
-  int_sample
-    ~labels:[ ("path", "scratch") ]
-    "deptest_banerjee_nodes_total" t.bj_scratch_nodes;
-  family "deptest_banerjee_combo_cap_fallbacks_total" "counter"
-    "Vertex cross products past the combination cap.";
-  int_sample "deptest_banerjee_combo_cap_fallbacks_total" t.bj_caps;
-  family "deptest_degraded_pairs_total" "counter"
-    "Pairs degraded to the conservative verdict, by guard reason.";
-  int_sample
-    ~labels:[ ("reason", "overflow") ]
-    "deptest_degraded_pairs_total" t.g_overflow;
-  int_sample
-    ~labels:[ ("reason", "exception") ]
-    "deptest_degraded_pairs_total" t.g_exception;
-  int_sample
-    ~labels:[ ("reason", "budget") ]
-    "deptest_degraded_pairs_total" t.g_budget;
-  family "deptest_engine_registries_total" "counter"
-    "Worker metrics registries merged into this snapshot.";
-  int_sample "deptest_engine_registries_total" t.eng_registries;
-  family "deptest_engine_shards_total" "counter"
-    "Routine-grain shards dispatched to the work-stealing pool.";
-  int_sample "deptest_engine_shards_total" t.eng_shards;
-  family "deptest_engine_tasks_total" "counter"
-    "Engine work leaves executed, by worker domain.";
-  let rows = engine_rows t in
-  List.iter
-    (fun (d, tasks, _, _, _) ->
-      int_sample
-        ~labels:[ ("domain", string_of_int d) ]
-        "deptest_engine_tasks_total" tasks)
-    rows;
-  family "deptest_engine_steals_total" "counter"
-    "Ranges stolen from another worker's deque, by thief domain.";
-  List.iter
-    (fun (d, _, steals, _, _) ->
-      int_sample
-        ~labels:[ ("domain", string_of_int d) ]
-        "deptest_engine_steals_total" steals)
-    rows;
-  family "deptest_engine_busy_ns_total" "counter"
-    "Nanoseconds inside leaf bodies, by worker domain.";
-  List.iter
-    (fun (d, _, _, busy, _) ->
-      ns_sample
-        ~labels:[ ("domain", string_of_int d) ]
-        "deptest_engine_busy_ns_total" busy)
-    rows;
-  family "deptest_engine_queue_wait_ns_total" "counter"
-    "Nanoseconds acquiring work (pop, steal, backoff), by worker domain.";
-  List.iter
-    (fun (d, _, _, _, wait) ->
-      ns_sample
-        ~labels:[ ("domain", string_of_int d) ]
-        "deptest_engine_queue_wait_ns_total" wait)
-    rows;
-  (* serve families appear only once the daemon reported (the engine
-     pre-registers every endpoint and tier at startup, so a scrape's
-     series set never depends on traffic) *)
-  (let srows = serve_rows t in
-   if srows <> [] then begin
-     family "deptest_serve_request_duration_ns" "histogram"
-       "Whole-request daemon latency in nanoseconds, by protocol endpoint.";
-     List.iter
-       (fun (ep, count, sum_ns, hist) ->
-         let cum = ref 0 in
-         Array.iteri
-           (fun i c ->
-             cum := !cum + c;
-             let le =
-               if i < Array.length serve_bucket_bounds_ns then
-                 Int64.to_string serve_bucket_bounds_ns.(i)
-               else "+Inf"
-             in
-             int_sample
-               ~labels:[ ("endpoint", ep); ("le", le) ]
-               "deptest_serve_request_duration_ns_bucket" !cum)
-           hist;
-         ns_sample
-           ~labels:[ ("endpoint", ep) ]
-           "deptest_serve_request_duration_ns_sum" sum_ns;
-         int_sample
-           ~labels:[ ("endpoint", ep) ]
-           "deptest_serve_request_duration_ns_count" count)
-       srows
-   end);
-  (match serve_tiers t with
-  | [] -> ()
-  | tiers ->
-      family "deptest_serve_answered_total" "counter"
-        "Analyze requests answered, by cache tier (response / disk / memo / \
-         cold) or none for non-analyze and failed requests.";
-      List.iter
-        (fun (tier, n) ->
-          int_sample ~labels:[ ("tier", tier) ] "deptest_serve_answered_total"
-            n)
-        tiers);
+    (fun f ->
+      let d = f.decl in
+      if not (d.optional && f.n = 0) then begin
+        header d.name (type_name d.kind) d.help;
+        List.iter
+          (fun (key, s) ->
+            let labels =
+              match d.label with None -> [] | Some l -> [ (l, key) ]
+            in
+            match d.kind with
+            | Counter | Gauge -> sample d.name labels f.cells.(s)
+            | Histogram bounds ->
+                let base = s * width d and nb = Array.length bounds + 1 in
+                let cum = ref 0 in
+                for i = 0 to nb - 1 do
+                  cum := !cum + f.cells.(base + i);
+                  let le =
+                    if i < Array.length bounds then string_of_int bounds.(i)
+                    else "+Inf"
+                  in
+                  sample (d.name ^ "_bucket") (labels @ [ ("le", le) ]) !cum
+                done;
+                sample (d.name ^ "_sum") labels f.cells.(base + nb);
+                sample (d.name ^ "_count") labels f.cells.(base + nb + 1))
+          (rows f)
+      end)
+    (Array.to_list t.fams @ List.rev t.extra);
   Buffer.contents buf

@@ -1,12 +1,19 @@
-(** The metrics registry: counters, monotonic-clock timing spans, and
-    latency histograms for the dependence-test driver.
+(** The metrics registry: named families of counters, gauges and
+    histograms for the dependence-test driver and the serve daemon.
 
-    Generalizes the core [Counters] module (which the paper's §6 tables
-    keep using) with wall-clock time per test kind, per analysis phase
-    (parse / partition / test / merge), and a log-scale histogram of
-    per-reference-pair latency. All times are nanoseconds from the
-    monotonic clock. A registry accumulates across pairs, routines, and
-    files; [merge_into] combines registries. *)
+    Each family declares its name, HELP text, type, optional label and
+    merge rule once; {!merge_into} and {!to_prometheus} are derived from
+    the declarations, so a new metric is one declaration plus its
+    recorder. The built-in families count, per test kind, how often each
+    test ran and proved independence (the paper's §6 Table-3 quantities,
+    measured as executed work — [Deptest.Counters] keeps the
+    cache-replayed logical counts), with wall-clock time per test kind
+    and per analysis phase (parse / partition / test / merge), a
+    log-scale histogram of per-reference-pair latency, and the cache,
+    Banerjee-kernel, guard and engine counters. All times are
+    nanoseconds from the monotonic {!Clock}. Recorders index arrays
+    through handles resolved when the registry is created; none hashes a
+    string. *)
 
 type phase = Parse | Partition | Test | Merge
 
@@ -16,9 +23,6 @@ val phase_name : phase -> string
 type t
 
 val create : unit -> t
-
-val now_ns : unit -> int64
-(** Monotonic clock, nanoseconds. *)
 
 val record : t -> Test_kind.t -> indep:bool -> ns:int64 -> unit
 (** One application of a dependence test: bump applied (and independent
@@ -122,17 +126,13 @@ val engine_rows : t -> (int * int * int * int64 * int64) list
 
     Whole-request observations from the long-lived [deptest serve]
     daemon: a latency histogram per protocol endpoint and a counter per
-    cache tier that answered an analyze. Both live in their own key
-    space (endpoint / tier strings), are summed by {!merge_into}, and —
-    unlike every batch family — are exported (JSON [serve] block,
-    Prometheus [deptest_serve_*] families) only once at least one
-    endpoint or tier has been registered, so batch-run snapshots stay
-    byte-identical to pre-daemon ones. *)
-
-val serve_bucket_bounds_ns : int64 array
-(** Upper bounds (inclusive) of the request-latency buckets — two
-    decades above {!bucket_bounds_ns}, since a request spans many
-    pairs — plus one overflow bucket. *)
+    cache tier that answered an analyze. The request buckets run two
+    decades above {!bucket_bounds_ns}, since a request spans many pairs.
+    Both are summed by {!merge_into}, and — unlike every batch family —
+    are exported (JSON [serve] block, Prometheus [deptest_serve_*]
+    families) only once at least one endpoint or tier has been
+    registered, so batch-run snapshots stay byte-identical to pre-daemon
+    ones. *)
 
 val serve_request : t -> endpoint:string -> ns:int64 -> unit
 (** One daemon request on [endpoint] answered in [ns]: bump the
@@ -148,14 +148,6 @@ val serve_answered : t -> tier:string -> unit
 
 val serve_tier : t -> tier:string -> unit
 (** Pre-register [tier] at zero, like {!serve_endpoint}. *)
-
-val serve_rows : t -> (string * int * int64 * int array) list
-(** [(endpoint, requests, total_ns, hist)] sorted by endpoint; [hist]
-    has [Array.length serve_bucket_bounds_ns + 1] buckets. Empty unless
-    a daemon reported. *)
-
-val serve_tiers : t -> (string * int) list
-(** [(tier, answered)] sorted by tier. Empty unless a daemon reported. *)
 
 val banerjee_compilations : t -> int
 val banerjee_incremental_nodes : t -> int
@@ -177,7 +169,9 @@ val latency_hist : t -> int array
 (** Bucket counts; length [Array.length bucket_bounds_ns + 1]. *)
 
 val merge_into : t -> t -> unit
-(** [merge_into acc extra] adds [extra]'s counts and times into [acc]. *)
+(** [merge_into acc extra] folds every family of [extra] into [acc] by
+    its declared rule: increments sum, while the memo and disk snapshots
+    keep the larger value. Families [acc] lacks are added to it. *)
 
 val merge : t -> t -> t
 (** Fresh registry holding the sum — commutative and associative, so the
@@ -214,7 +208,28 @@ val to_prometheus : ?build:(string * string) list -> t -> string
     schema) — scrapes join on it to correlate drift with deploys. When
     the serve tables are non-empty, appends the
     [deptest_serve_request_duration_ns] per-endpoint histogram (bounds
-    from {!serve_bucket_bounds_ns}) and the
-    [deptest_serve_answered_total] per-tier counter. Label values never
+    two decades above the pair bounds) and the
+    [deptest_serve_answered_total] per-tier counter, then every family
+    registered through {!counter} and {!gauge}. Label values never
     contain spaces, so line-oriented consumers can split on
     whitespace. *)
+
+(** {2 Caller-registered families}
+
+    A long-lived owner of a registry (the serve daemon) declares its own
+    unlabelled counters and gauges here. They are exported by
+    {!to_prometheus} after the built-in families, in registration
+    order, and are not part of {!to_json}'s fixed layout. *)
+
+type cell
+(** Handle to the single series of an unlabelled family. *)
+
+val counter : t -> string -> help:string -> cell
+(** Register a counter family; {!merge_into} sums it. *)
+
+val gauge : t -> string -> help:string -> cell
+(** Register a gauge family; {!merge_into} keeps the larger value. *)
+
+val add : cell -> int -> unit
+val set : cell -> int -> unit
+val get : cell -> int

@@ -60,10 +60,6 @@ let counter_rows (b : Record.t) (c : Record.t) =
       if baseline <> current then Some { metric; baseline; current } else None)
     (top @ kind_rows)
 
-let latency_breach ~threshold ~min_ns ~baseline_ns ~current_ns =
-  current_ns > baseline_ns *. (1. +. threshold)
-  && current_ns -. baseline_ns >= min_ns
-
 let diff ?(latency_threshold = 0.5) ?(min_ns = 10_000.) ?(check_latency = true)
     ~baseline ~current () =
   let counters = counter_rows baseline current in
@@ -73,8 +69,8 @@ let diff ?(latency_threshold = 0.5) ?(min_ns = 10_000.) ?(check_latency = true)
       let baseline_ns = mean_pair_ns baseline in
       let current_ns = mean_pair_ns current in
       if
-        latency_breach ~threshold:latency_threshold ~min_ns ~baseline_ns
-          ~current_ns
+        Dt_obs.Diff.breach ~threshold:latency_threshold ~min_ns
+          ~base:baseline_ns ~cur:current_ns
       then Some { baseline_ns; current_ns; threshold = latency_threshold }
       else None
   in
@@ -126,8 +122,8 @@ let detect ?(window = 5) ?(latency_threshold = 0.5) ?(min_ns = 10_000.)
                 in
                 let current_ns = mean_pair_ns cur in
                 if
-                  latency_breach ~threshold:latency_threshold ~min_ns
-                    ~baseline_ns ~current_ns
+                  Dt_obs.Diff.breach ~threshold:latency_threshold ~min_ns
+                    ~base:baseline_ns ~cur:current_ns
                 then
                   Some
                     { baseline_ns; current_ns; threshold = latency_threshold }

@@ -156,7 +156,7 @@ let attempt ~socket ~timeout_ms req =
           finish (Error (Bad_response (Unix.error_message e)))
       | () -> (
           let deadline_ns =
-            Int64.add (Dt_obs.Metrics.now_ns ())
+            Int64.add (Dt_obs.Clock.now_ns ())
               (Int64.mul (Int64.of_int timeout_ms) 1_000_000L)
           in
           match Frame.read_r ~deadline_ns fd with

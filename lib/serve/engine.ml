@@ -2,31 +2,75 @@ module Json = Dt_obs.Json
 module Store = Dt_engine.Store
 module Record = Dt_report.Record
 module Reqtrace = Dt_obs.Reqtrace
+module Metrics = Dt_obs.Metrics
+
+(* the daemon's own families, registered on its metrics registry after
+   the built-in ones, in exposition order *)
+type cells = {
+  requests : Metrics.cell;
+  analyses : Metrics.cell;  (* analyze requests answered by running tests *)
+  response_hits : Metrics.cell;  (* answered whole from the response tier *)
+  errors : Metrics.cell;
+  protocol_errors : Metrics.cell;  (* bad frames / JSON / unsupported version *)
+  connections : Metrics.cell;  (* connections ever accepted *)
+  in_flight : Metrics.cell;  (* requests currently being handled *)
+  uptime : Metrics.cell;  (* set when the metrics are read *)
+  traced : Metrics.cell;  (* set when the metrics are read *)
+  shed : Metrics.cell;  (* analyze requests answered `overloaded` *)
+  deadline_exceeded : Metrics.cell;  (* shed: the request budget was spent *)
+  restarts_total : Metrics.cell;  (* set when the metrics are read *)
+  injected_faults : Metrics.cell;  (* chaos faults the server performed *)
+  queue_depth : Metrics.cell;  (* requests waiting, set by the server *)
+}
+
+let register_cells m =
+  let c name help = Metrics.counter m ("deptest_serve_" ^ name) ~help
+  and g name help = Metrics.gauge m ("deptest_serve_" ^ name) ~help in
+  let requests = c "requests_total" "Requests handled by the daemon." in
+  let analyses =
+    c "analyses_total" "Analyze requests that ran the test cascade." in
+  let response_hits = c "response_hits_total"
+      "Analyze requests answered whole from the response cache." in
+  let errors = c "errors_total" "Requests answered with an error." in
+  let protocol_errors = c "protocol_errors_total"
+      "Connections dropped on a framing, JSON, or version error." in
+  let connections = c "connections_total" "Client connections ever accepted." in
+  let in_flight = g "in_flight" "Requests currently being handled." in
+  let uptime = g "uptime_ns" "Nanoseconds since the daemon started." in
+  let traced = c "traced_requests_total"
+      "Requests recorded in the slow-request ring ledger." in
+  let shed = c "shed_total"
+      "Analyze requests shed with a structured overloaded response." in
+  let deadline_exceeded = c "deadline_exceeded_total"
+      "Analyze requests shed because their own deadline budget was spent \
+       queueing." in
+  let restarts_total = c "restarts_total"
+      "Supervised daemon restarts before this incarnation." in
+  let injected_faults = c "injected_faults_total"
+      "Chaos-harness faults the server performed (accept drops, mid-frame \
+       closes, response delays)." in
+  let queue_depth =
+    g "queue_depth" "Requests waiting in the server's select queue." in
+  { requests; analyses; response_hits; errors; protocol_errors; connections;
+    in_flight; uptime; traced; shed; deadline_exceeded; restarts_total;
+    injected_faults; queue_depth }
 
 type t = {
   jobs : int;
   config : Deptest.Analyze.Config.t;  (* shared: one memo cache for all *)
   store : Store.t option;
-  metrics : Dt_obs.Metrics.t;
+  metrics : Metrics.t;
+  c : cells;
   sampler : Reqtrace.Sampler.t;
   ring : Reqtrace.Ring.t;
   started_ns : int64;  (* monotonic, for uptime *)
   max_inflight : int;  (* admission budget; 0 = unbounded *)
   queue_deadline_ms : int;  (* max queue wait before shedding; 0 = none *)
   restarts : int;  (* supervised restarts before this incarnation *)
-  mutable requests : int;
-  mutable analyses : int;  (* analyze requests answered by running tests *)
-  mutable response_hits : int;  (* answered whole from the response tier *)
-  mutable errors : int;
-  mutable protocol_errors : int;  (* bad frames / JSON / unsupported version *)
-  mutable connections : int;  (* connections ever accepted *)
-  mutable in_flight : int;  (* requests currently being handled *)
-  mutable shed : int;  (* analyze requests answered `overloaded` *)
-  mutable deadline_exceeded : int;  (* shed because the request budget was spent *)
-  mutable injected_faults : int;  (* chaos faults the server performed *)
-  mutable queue_depth : int;  (* gauge: requests waiting, set by the server *)
   mutable ewma_analyze_ns : int64;  (* smoothed analyze wall, for retry_after *)
 }
+
+let bump c = Metrics.add c 1
 
 (* What the server's select loop knows about a request when it hands it
    over: how many other requests are waiting behind it, and how long it
@@ -43,15 +87,13 @@ let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
     ?(slow_threshold_ns = 0L) ?(ledger_recent = 64) ?(ledger_top = 16)
     ?(max_inflight = 0) ?(queue_deadline_ms = 0) ?(restarts = 0) () =
   let jobs = Dt_support.Pool.clamp_auto jobs in
-  let metrics = Dt_obs.Metrics.create () in
+  let metrics = Metrics.create () in
   (* pre-register every endpoint and tier series so a scrape's series
      set never depends on what traffic arrived first *)
-  List.iter
-    (fun endpoint -> Dt_obs.Metrics.serve_endpoint metrics ~endpoint)
+  List.iter (fun endpoint -> Metrics.serve_endpoint metrics ~endpoint)
     Protocol.endpoints;
   List.iter
-    (fun tier ->
-      Dt_obs.Metrics.serve_tier metrics ~tier:(Reqtrace.tier_name tier))
+    (fun tier -> Metrics.serve_tier metrics ~tier:(Reqtrace.tier_name tier))
     Reqtrace.tiers;
   (* the store fingerprint covers the serve configuration's semantics
      (strategy, input pairs, cache, budget, deadline — not jobs) plus
@@ -75,39 +117,29 @@ let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
     config;
     store;
     metrics;
+    c = register_cells metrics;
     sampler = Reqtrace.Sampler.create ~period:sample_period
         ~threshold_ns:slow_threshold_ns ();
     ring = Reqtrace.Ring.create ~recent:ledger_recent ~top:ledger_top ();
-    started_ns = Dt_obs.Metrics.now_ns ();
+    started_ns = Dt_obs.Clock.now_ns ();
     max_inflight = max 0 max_inflight;
     queue_deadline_ms = max 0 queue_deadline_ms;
     restarts = max 0 restarts;
-    requests = 0;
-    analyses = 0;
-    response_hits = 0;
-    errors = 0;
-    protocol_errors = 0;
-    connections = 0;
-    in_flight = 0;
-    shed = 0;
-    deadline_exceeded = 0;
-    injected_faults = 0;
-    queue_depth = 0;
     ewma_analyze_ns = 0L;
   }
 
 let jobs t = t.jobs
 let store t = t.store
 let restarts t = t.restarts
-let shed_total t = t.shed
-let deadline_exceeded_total t = t.deadline_exceeded
-let note_connection t = t.connections <- t.connections + 1
-let note_injected_fault t = t.injected_faults <- t.injected_faults + 1
-let set_queue_depth t depth = t.queue_depth <- max 0 depth
+let shed_total t = Metrics.get t.c.shed
+let deadline_exceeded_total t = Metrics.get t.c.deadline_exceeded
+let note_connection t = bump t.c.connections
+let note_injected_fault t = bump t.c.injected_faults
+let set_queue_depth t depth = Metrics.set t.c.queue_depth (max 0 depth)
 
 let note_protocol_error t =
-  t.protocol_errors <- t.protocol_errors + 1;
-  t.errors <- t.errors + 1
+  bump t.c.protocol_errors;
+  bump t.c.errors
 
 let parse source =
   match
@@ -152,7 +184,7 @@ let response_lookup t source =
       | Some json -> (
           match decode_response json with
           | Some (output, degraded) ->
-              t.response_hits <- t.response_hits + 1;
+              bump t.c.response_hits;
               Hit (output, degraded)
           | None ->
               Store.note_invalid store;
@@ -205,75 +237,36 @@ let sync_disk_metrics t =
   match t.store with
   | None -> ()
   | Some s ->
-      Dt_obs.Metrics.set_disk_cache t.metrics ~hits:(Store.hits s)
+      Metrics.set_disk_cache t.metrics ~hits:(Store.hits s)
         ~misses:(Store.misses s) ~invalid:(Store.invalid s)
 
-let serve_prometheus t =
-  let b = Buffer.create 256 in
-  let metric typ name help v =
-    Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name typ);
-    Buffer.add_string b (Printf.sprintf "%s %d\n" name v)
-  in
-  let counter = metric "counter" and gauge = metric "gauge" in
-  counter "deptest_serve_requests_total" "Requests handled by the daemon."
-    t.requests;
-  counter "deptest_serve_analyses_total"
-    "Analyze requests that ran the test cascade." t.analyses;
-  counter "deptest_serve_response_hits_total"
-    "Analyze requests answered whole from the response cache."
-    t.response_hits;
-  counter "deptest_serve_errors_total" "Requests answered with an error."
-    t.errors;
-  counter "deptest_serve_protocol_errors_total"
-    "Connections dropped on a framing, JSON, or version error." t.protocol_errors;
-  counter "deptest_serve_connections_total"
-    "Client connections ever accepted." t.connections;
-  gauge "deptest_serve_in_flight" "Requests currently being handled."
-    t.in_flight;
-  gauge "deptest_serve_uptime_ns" "Nanoseconds since the daemon started."
-    (Int64.to_int (Int64.sub (Dt_obs.Metrics.now_ns ()) t.started_ns));
-  counter "deptest_serve_traced_requests_total"
-    "Requests recorded in the slow-request ring ledger."
-    (Reqtrace.Ring.total t.ring);
-  counter "deptest_serve_shed_total"
-    "Analyze requests shed with a structured overloaded response."
-    t.shed;
-  counter "deptest_serve_deadline_exceeded_total"
-    "Analyze requests shed because their own deadline budget was spent \
-     queueing." t.deadline_exceeded;
-  counter "deptest_serve_restarts_total"
-    "Supervised daemon restarts before this incarnation." t.restarts;
-  counter "deptest_serve_injected_faults_total"
-    "Chaos-harness faults the server performed (accept drops, mid-frame \
-     closes, response delays)." t.injected_faults;
-  gauge "deptest_serve_queue_depth"
-    "Requests waiting in the server's select queue." t.queue_depth;
-  Buffer.contents b
+let uptime_ns t = Int64.to_int (Int64.sub (Dt_obs.Clock.now_ns ()) t.started_ns)
 
 let saturation_json t =
+  let get = Metrics.get in
   Json.Obj
     [
-      ("in_flight", Json.Int t.in_flight);
-      ("queue_depth", Json.Int t.queue_depth);
+      ("in_flight", Json.Int (get t.c.in_flight));
+      ("queue_depth", Json.Int (get t.c.queue_depth));
       ("max_inflight", Json.Int t.max_inflight);
       ("queue_deadline_ms", Json.Int t.queue_deadline_ms);
-      ("shed", Json.Int t.shed);
-      ("deadline_exceeded", Json.Int t.deadline_exceeded);
-      ("injected_faults", Json.Int t.injected_faults);
+      ("shed", Json.Int (get t.c.shed));
+      ("deadline_exceeded", Json.Int (get t.c.deadline_exceeded));
+      ("injected_faults", Json.Int (get t.c.injected_faults));
       ("restarts", Json.Int t.restarts);
     ]
 
 let serve_json t =
+  let get = Metrics.get in
   Json.Obj
     [
-      ("requests", Json.Int t.requests);
-      ("analyses", Json.Int t.analyses);
-      ("response_hits", Json.Int t.response_hits);
-      ("errors", Json.Int t.errors);
-      ("protocol_errors", Json.Int t.protocol_errors);
-      ("connections", Json.Int t.connections);
-      ("in_flight", Json.Int t.in_flight);
+      ("requests", Json.Int (get t.c.requests));
+      ("analyses", Json.Int (get t.c.analyses));
+      ("response_hits", Json.Int (get t.c.response_hits));
+      ("errors", Json.Int (get t.c.errors));
+      ("protocol_errors", Json.Int (get t.c.protocol_errors));
+      ("connections", Json.Int (get t.c.connections));
+      ("in_flight", Json.Int (get t.c.in_flight));
       ("traced", Json.Int (Reqtrace.Ring.total t.ring));
       ("saturation", saturation_json t);
     ]
@@ -310,14 +303,14 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
   in
   let armed = Reqtrace.Sampler.arm t.sampler in
   let ts_ms = int_of_float (Unix.gettimeofday () *. 1000.) in
-  let t0 = Dt_obs.Metrics.now_ns () in
+  let t0 = Dt_obs.Clock.now_ns () in
   let result, tier, wall_ns, spans =
     match response_lookup t source with
     | Hit (output, degraded) ->
         (* the warm path: no profiler, no buffers — an armed capture is
            one synthesized Request span, so always-on sampling costs
            nothing where latency matters most *)
-        let wall_ns = Int64.sub (Dt_obs.Metrics.now_ns ()) t0 in
+        let wall_ns = Int64.sub (Dt_obs.Clock.now_ns ()) t0 in
         let spans =
           if armed && Reqtrace.Sampler.retain t.sampler ~wall_ns then
             [|
@@ -338,7 +331,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
         let had_disk =
           match t.store with Some s -> Store.hits s | None -> 0
         in
-        let had_memo = Dt_obs.Metrics.cache_hits t.metrics in
+        let had_memo = Metrics.cache_hits t.metrics in
         let profiler =
           if armed then Some (Dt_obs.Span.profiler ()) else None
         in
@@ -373,7 +366,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
               | Hit _ | Invalid -> ());
               ok
         in
-        let wall_ns = Int64.sub (Dt_obs.Metrics.now_ns ()) t0 in
+        let wall_ns = Int64.sub (Dt_obs.Clock.now_ns ()) t0 in
         note_analyze_wall t wall_ns;
         Option.iter (fun (b, slot) -> Dt_obs.Span.exit_ b slot) opened;
         (* the coarsest cache tier that contributed to this answer,
@@ -387,7 +380,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
                 (match t.store with Some s -> Store.hits s | None -> 0)
                 > had_disk
               then Reqtrace.Disk
-              else if Dt_obs.Metrics.cache_hits t.metrics > had_memo then
+              else if Metrics.cache_hits t.metrics > had_memo then
                 Reqtrace.Memo
               else Reqtrace.Cold
         in
@@ -412,10 +405,10 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
       ts_ms;
       spans;
     };
-  Dt_obs.Metrics.serve_answered t.metrics ~tier:(Reqtrace.tier_name tier);
+  Metrics.serve_answered t.metrics ~tier:(Reqtrace.tier_name tier);
   match result with
   | Ok (output, degraded) ->
-      if tier <> Reqtrace.Response then t.analyses <- t.analyses + 1;
+      if tier <> Reqtrace.Response then bump t.c.analyses;
       Protocol.ok
         (("output", Json.String output)
          :: ("degraded", Json.Int degraded)
@@ -425,7 +418,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
          | None -> []
          | Some i -> [ ("id", Json.String i) ]))
   | Error msg ->
-      t.errors <- t.errors + 1;
+      bump t.c.errors;
       Protocol.error msg
 
 let entries_response t entries =
@@ -445,15 +438,15 @@ let admit t admission ~deadline_ms =
   let remaining_ms = Option.map (fun d -> d - waited_ms) deadline_ms in
   match remaining_ms with
   | Some r when r <= 0 ->
-      t.shed <- t.shed + 1;
-      t.deadline_exceeded <- t.deadline_exceeded + 1;
+      bump t.c.shed;
+      bump t.c.deadline_exceeded;
       Error (Protocol.deadline_exceeded ~waited_ms)
   | _ ->
       if
         (t.max_inflight > 0 && admission.depth > t.max_inflight)
         || (t.queue_deadline_ms > 0 && waited_ms > t.queue_deadline_ms)
       then begin
-        t.shed <- t.shed + 1;
+        bump t.c.shed;
         Error
           (Protocol.overloaded
              ~retry_after_ms:(retry_after_ms t ~depth:admission.depth))
@@ -468,20 +461,23 @@ let handle_op t admission req =
       | Ok deadline_ms -> handle_analyze t ~source ~id ~trace_id ~deadline_ms)
   | Protocol.Metrics { prometheus } ->
       sync_disk_metrics t;
-      if prometheus then
+      if prometheus then begin
+        Metrics.set t.c.uptime (uptime_ns t);
+        Metrics.set t.c.traced (Reqtrace.Ring.total t.ring);
+        Metrics.set t.c.restarts_total t.restarts;
         Protocol.ok
           [
             ( "prometheus",
               Json.String
-                (Dt_obs.Metrics.to_prometheus
+                (Metrics.to_prometheus
                    ~build:[ ("store_schema", Store.schema_version) ]
-                   t.metrics
-                 ^ serve_prometheus t) );
+                   t.metrics) );
           ]
+      end
       else
         Protocol.ok
           [
-            ("metrics", Dt_obs.Metrics.to_json t.metrics);
+            ("metrics", Metrics.to_json t.metrics);
             ("serve", serve_json t);
           ]
   | Protocol.Health ->
@@ -489,15 +485,12 @@ let handle_op t admission req =
         [
           ("status", Json.String "ok");
           ("jobs", Json.Int t.jobs);
-          ( "uptime_ns",
-            Json.Int
-              (Int64.to_int
-                 (Int64.sub (Dt_obs.Metrics.now_ns ()) t.started_ns)) );
-          ("requests", Json.Int t.requests);
-          ("in_flight", Json.Int t.in_flight);
-          ("connections", Json.Int t.connections);
-          ("errors", Json.Int t.errors);
-          ("protocol_errors", Json.Int t.protocol_errors);
+          ("uptime_ns", Json.Int (uptime_ns t));
+          ("requests", Json.Int (Metrics.get t.c.requests));
+          ("in_flight", Json.Int (Metrics.get t.c.in_flight));
+          ("connections", Json.Int (Metrics.get t.c.connections));
+          ("errors", Json.Int (Metrics.get t.c.errors));
+          ("protocol_errors", Json.Int (Metrics.get t.c.protocol_errors));
           ("pid", Json.Int (Unix.getpid ()));
           ("saturation", saturation_json t);
           ( "trace",
@@ -512,10 +505,10 @@ let handle_op t admission req =
           ( "cache",
             Json.Obj
               [
-                ("memo_hits", Json.Int (Dt_obs.Metrics.cache_hits t.metrics));
+                ("memo_hits", Json.Int (Metrics.cache_hits t.metrics));
                 ( "memo_misses",
-                  Json.Int (Dt_obs.Metrics.cache_misses t.metrics) );
-                ("memo_entries", Json.Int (Dt_obs.Metrics.cache_size t.metrics));
+                  Json.Int (Metrics.cache_misses t.metrics) );
+                ("memo_entries", Json.Int (Metrics.cache_size t.metrics));
               ] );
           ( "disk",
             match t.store with
@@ -557,17 +550,17 @@ let handle_op t admission req =
   | Protocol.Shutdown -> Protocol.ok []
 
 let handle ?(admission = no_admission) t req =
-  t.requests <- t.requests + 1;
-  t.in_flight <- t.in_flight + 1;
-  let t0 = Dt_obs.Metrics.now_ns () in
+  bump t.c.requests;
+  bump t.c.in_flight;
+  let t0 = Dt_obs.Clock.now_ns () in
   Fun.protect
     ~finally:(fun () ->
-      t.in_flight <- t.in_flight - 1;
-      Dt_obs.Metrics.serve_request t.metrics
+      Metrics.add t.c.in_flight (-1);
+      Metrics.serve_request t.metrics
         ~endpoint:(Protocol.endpoint_of req)
-        ~ns:(Int64.sub (Dt_obs.Metrics.now_ns ()) t0))
+        ~ns:(Int64.sub (Dt_obs.Clock.now_ns ()) t0))
     (fun () ->
       try handle_op t admission req
       with e ->
-        t.errors <- t.errors + 1;
+        bump t.c.errors;
         Protocol.error (Printexc.to_string e))

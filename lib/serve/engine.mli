@@ -20,7 +20,11 @@
     whose capture (if retained by the latency threshold) the
     [trace-last] endpoint exports as a Chrome trace. The profiler is the
     only difference between a traced and an untraced run — same memo
-    cache, same store — so answers stay byte-identical either way. *)
+    cache, same store — so answers stay byte-identical either way.
+
+    The daemon's own counters and gauges (requests, errors, sheds, queue
+    depth, ...) are families on the same {!Dt_obs.Metrics} registry as
+    the analysis metrics, so one exposition renders the whole scrape. *)
 
 type t
 

@@ -152,7 +152,7 @@ let run ~socket ?(jobs = 0) ?cache_dir ?cache_capacity ?sample_period
         let enqueue fd =
           if not (Hashtbl.mem pending_set fd) then begin
             Hashtbl.replace pending_set fd ();
-            Queue.add (fd, Dt_obs.Metrics.now_ns ()) pending
+            Queue.add (fd, Dt_obs.Clock.now_ns ()) pending
           end
         in
         let drop fd =
@@ -172,7 +172,7 @@ let run ~socket ?(jobs = 0) ?cache_dir ?cache_capacity ?sample_period
                   {
                     Engine.depth = Queue.length pending + 1;
                     waited_ns =
-                      Int64.sub (Dt_obs.Metrics.now_ns ()) enqueued_ns;
+                      Int64.sub (Dt_obs.Clock.now_ns ()) enqueued_ns;
                   }
                 in
                 match serve_frame ~admission engine fd with
@@ -229,12 +229,12 @@ let run ~socket ?(jobs = 0) ?cache_dir ?cache_capacity ?sample_period
            loses no accepted work *)
         close_quiet sock;
         let deadline_ns =
-          Int64.add (Dt_obs.Metrics.now_ns ())
+          Int64.add (Dt_obs.Clock.now_ns ())
             (Int64.mul (Int64.of_int (max 0 drain_grace_ms)) 1_000_000L)
         in
         let drained = ref 0 in
         let rec drain () =
-          if Int64.compare (Dt_obs.Metrics.now_ns ()) deadline_ns >= 0 then ()
+          if Int64.compare (Dt_obs.Clock.now_ns ()) deadline_ns >= 0 then ()
           else if not (Queue.is_empty pending) then begin
             serve_next ();
             incr drained;

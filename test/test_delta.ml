@@ -170,24 +170,24 @@ let test_miv_fallback () =
   check Alcotest.bool "leftovers recorded" true (r.Deptest.Delta.leftover_miv >= 1)
 
 let test_trace () =
-  let buf = Buffer.create 64 in
+  let sink = Dt_obs.Trace.make () in
   let loops = loops1 ~hi:50 () in
   let assume, range = siv_ctx loops in
   let _ =
-    Deptest.Delta.test
-      ~trace:(fun s -> Buffer.add_string buf (s ^ "\n"))
-      assume range
+    Deptest.Delta.test ~sink assume range
       [ spair (av ~c:1 i0) (av i0); spair (av ~c:2 i0) (av i0) ]
       ~relevant:(Index.Set.singleton i0)
   in
-  let out = Buffer.contents buf in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  check Alcotest.bool "trace mentions contradiction" true
-    (contains out "contradiction")
+  check Alcotest.bool "trace notes the contradiction" true
+    (List.exists
+       (function
+         | Dt_obs.Trace.Note s -> contains s "contradiction" | _ -> false)
+       (Dt_obs.Trace.events sink))
 
 let suite =
   [

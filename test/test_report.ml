@@ -335,23 +335,71 @@ let prom_of_run () =
        (Dt_workloads.Corpus.find_exn ~suite:"linpack" ~name:"dgefa"));
   (metrics, Dt_obs.Metrics.to_prometheus metrics)
 
+(* the daemon's whole scrape: the driver families plus the serve ones,
+   after a cold, a repeated and a failing analyze *)
+let prom_of_daemon () =
+  let e = Dt_serve.Engine.create ~jobs:1 () in
+  let source =
+    (Dt_workloads.Corpus.find_exn ~suite:"linpack" ~name:"dgefa")
+      .Dt_workloads.Corpus.source
+  in
+  List.iter
+    (fun source ->
+      ignore
+        (Dt_serve.Engine.handle e
+           (Dt_serve.Protocol.Analyze
+              { source; id = None; trace_id = None; deadline_ms = None })))
+    [ source; source; "      PROGRAM BAD\n      DO = = =\n" ];
+  let answer =
+    Dt_serve.Engine.handle e (Dt_serve.Protocol.Metrics { prometheus = true })
+  in
+  let pairs =
+    match
+      Dt_serve.Engine.handle e (Dt_serve.Protocol.Metrics { prometheus = false })
+      |> Dt_obs.Json.member "metrics"
+      |> Fun.flip Option.bind (Dt_obs.Json.member "pairs")
+      |> Fun.flip Option.bind (Dt_obs.Json.member "tested")
+    with
+    | Some (Dt_obs.Json.Int n) -> n
+    | _ -> Alcotest.fail "metrics answer has no pairs.tested"
+  in
+  match Dt_obs.Json.member "prometheus" answer with
+  | Some (Dt_obs.Json.String text) -> (pairs, text)
+  | _ -> Alcotest.fail "metrics --prom answer has no prometheus text"
+
+let expositions () =
+  let metrics, text = prom_of_run () in
+  let daemon_pairs, daemon_text = prom_of_daemon () in
+  [ ("one-shot", Dt_obs.Metrics.pairs metrics, text);
+    ("daemon", daemon_pairs, daemon_text) ]
+
 let lines s = String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
 
 let parse_sample line =
-  (* name{labels} value | name value — returns (series-name, value) *)
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some _ ->
-      let i = try String.index line '{' with Not_found -> String.length line in
-      let sp = String.rindex line ' ' in
-      let name = String.sub line 0 (min i sp) in
-      let v = String.sub line (sp + 1) (String.length line - sp - 1) in
+  (* name{labels} value | name value — returns (series-name, value). Label
+     values never hold spaces, so a sample has exactly one *)
+  match String.split_on_char ' ' line with
+  | [ series; v ] ->
+      let name =
+        match String.index_opt series '{' with
+        | Some i -> String.sub series 0 i
+        | None -> series
+      in
       Option.map (fun f -> (name, f)) (float_of_string_opt v)
+  | _ -> None
 
-let test_prometheus_lint () =
-  let _, text = prom_of_run () in
+let types_of ls =
+  List.filter_map
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ "#"; "TYPE"; name; typ ] -> Some (name, typ)
+      | _ -> None)
+    ls
+
+let lint what text =
   let ls = lines text in
-  Alcotest.(check bool) "non-empty exposition" true (List.length ls > 20);
+  Alcotest.(check bool) (what ^ ": non-empty exposition") true
+    (List.length ls > 20);
   (* every line is a comment or a parsable sample *)
   List.iter
     (fun l ->
@@ -362,18 +410,11 @@ let test_prometheus_lint () =
               (Printf.sprintf "metric name %S is deptest-prefixed" name)
               true
               (Astring_contains.contains name "deptest_")
-        | None -> Alcotest.failf "unparsable sample line: %s" l)
+        | None -> Alcotest.failf "%s: unparsable sample line: %s" what l)
     ls;
   (* TYPE declared exactly once per family *)
-  let types =
-    List.filter_map
-      (fun l ->
-        if String.length l > 7 && String.sub l 0 7 = "# TYPE " then
-          Some (List.nth (String.split_on_char ' ' l) 2)
-        else None)
-      ls
-  in
-  Alcotest.(check int) "no duplicate TYPE declarations"
+  let types = List.map fst (types_of ls) in
+  Alcotest.(check int) (what ^ ": no duplicate TYPE declarations")
     (List.length types)
     (List.length (List.sort_uniq compare types));
   (* every sample's family has a TYPE *)
@@ -391,46 +432,94 @@ let test_prometheus_lint () =
                   || name = t ^ "_count")
                 types
             in
-            if family = None then Alcotest.failf "sample %S has no TYPE" name
+            if family = None then
+              Alcotest.failf "%s: sample %S has no TYPE" what name
         | None -> ())
     ls
 
+let test_prometheus_lint () =
+  List.iter (fun (what, _, text) -> lint what text) (expositions ())
+
+let rec monotone = function
+  | a :: (b :: _ as tl) -> a <= b && monotone tl
+  | _ -> true
+
+(* every histogram series (one per label set besides [le]) has
+   cumulative buckets whose +Inf bucket equals its _count *)
+let check_histograms what ls =
+  let series_of l =
+    (* the label set without [le], as "{a=...,le=...}" -> "a=..." *)
+    match (String.index_opt l '{', String.index_opt l '}') with
+    | Some i, Some j ->
+        String.split_on_char ',' (String.sub l (i + 1) (j - i - 1))
+        |> List.filter (fun kv -> not (String.starts_with ~prefix:"le=" kv))
+        |> String.concat ","
+    | _ -> ""
+  in
+  List.iter
+    (fun (family, typ) ->
+      if typ = "histogram" then begin
+        let samples suffix =
+          List.filter_map
+            (fun l ->
+              match parse_sample l with
+              | Some (n, v) when n = family ^ suffix -> Some (series_of l, v)
+              | _ -> None)
+            ls
+        in
+        let buckets = samples "_bucket" and counts = samples "_count" in
+        Alcotest.(check bool) (what ^ ": " ^ family ^ " has series") true
+          (counts <> []);
+        List.iter
+          (fun (series, count) ->
+            let bs =
+              List.filter_map
+                (fun (s, v) -> if s = series then Some v else None)
+                buckets
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s{%s} buckets are monotone" what family
+                 series)
+              true (monotone bs);
+            Alcotest.(check (float 0.0001))
+              (Printf.sprintf "%s: %s{%s} +Inf bucket equals _count" what
+                 family series)
+              (List.nth bs (List.length bs - 1))
+              count)
+          counts
+      end)
+    (types_of ls)
+
 let test_prometheus_histogram () =
-  let metrics, text = prom_of_run () in
-  let ls = lines text in
-  let buckets =
-    List.filter_map
-      (fun l ->
-        match parse_sample l with
-        | Some ("deptest_pair_latency_ns_bucket", v) -> Some v
-        | _ -> None)
-      ls
-  in
-  Alcotest.(check int) "one bucket per bound plus +Inf"
-    (Array.length Dt_obs.Metrics.bucket_bounds_ns + 1)
-    (List.length buckets);
-  let rec monotone = function
-    | a :: (b :: _ as tl) -> a <= b && monotone tl
-    | _ -> true
-  in
-  Alcotest.(check bool) "cumulative buckets are monotone" true
-    (monotone buckets);
-  let count =
-    List.find_map
-      (fun l ->
-        match parse_sample l with
-        | Some ("deptest_pair_latency_ns_count", v) -> Some v
-        | _ -> None)
-      ls
-  in
-  Alcotest.(check (option (float 0.0001)))
-    "+Inf bucket equals _count"
-    (Some (List.nth buckets (List.length buckets - 1)))
-    count;
-  Alcotest.(check (option (float 0.0001)))
-    "_count equals observed pairs"
-    (Some (float_of_int (Dt_obs.Metrics.pairs metrics)))
-    count
+  List.iter
+    (fun (what, pairs, text) ->
+      let ls = lines text in
+      check_histograms what ls;
+      let buckets =
+        List.filter_map
+          (fun l ->
+            match parse_sample l with
+            | Some ("deptest_pair_latency_ns_bucket", v) -> Some v
+            | _ -> None)
+          ls
+      in
+      Alcotest.(check int)
+        (what ^ ": one bucket per bound plus +Inf")
+        (Array.length Dt_obs.Metrics.bucket_bounds_ns + 1)
+        (List.length buckets);
+      let count =
+        List.find_map
+          (fun l ->
+            match parse_sample l with
+            | Some ("deptest_pair_latency_ns_count", v) -> Some v
+            | _ -> None)
+          ls
+      in
+      Alcotest.(check (option (float 0.0001)))
+        (what ^ ": _count equals observed pairs")
+        (Some (float_of_int pairs))
+        count)
+    (expositions ())
 
 let test_prometheus_stable () =
   let metrics, text = prom_of_run () in

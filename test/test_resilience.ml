@@ -174,12 +174,12 @@ let test_frame_write_eintr () =
 let test_frame_read_deadline () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* nothing ever arrives: the deadline, not the peer, ends the read *)
-  let soon = Int64.add (Dt_obs.Metrics.now_ns ()) 50_000_000L in
+  let soon = Int64.add (Dt_obs.Clock.now_ns ()) 50_000_000L in
   check bool "idle read times out" true
     (Frame.read_r ~deadline_ns:soon b = Error Frame.Timeout);
   (* data already buffered beats a generous deadline *)
   Frame.write a "prompt";
-  let later = Int64.add (Dt_obs.Metrics.now_ns ()) 5_000_000_000L in
+  let later = Int64.add (Dt_obs.Clock.now_ns ()) 5_000_000_000L in
   check bool "buffered read returns" true
     (Frame.read_r ~deadline_ns:later b = Ok (Some "prompt"));
   Unix.close a;
