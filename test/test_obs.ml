@@ -76,6 +76,221 @@ let test_json_rejects_garbage () =
   check Alcotest.bool "unterminated" true (bad {|{"a": "b|});
   check Alcotest.bool "bare word" true (bad "flase")
 
+(* Codec parity. [oracle_escape] is the original one-byte-at-a-time
+   escaper, kept here as the reference: the run-scanning [to_string]
+   must reproduce it byte for byte. *)
+let oracle_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* an exact rendering of a parsed value: ints and floats stay distinct,
+   floats are printed in hex so -0. and 0. differ *)
+let rec json_repr (j : Dt_obs.Json.t) =
+  match j with
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Int i -> "I" ^ string_of_int i
+  | Float f -> Printf.sprintf "F%h" f
+  | String s -> Printf.sprintf "%S" s
+  | List l -> "[" ^ String.concat ";" (List.map json_repr l) ^ "]"
+  | Obj fs ->
+      "{"
+      ^ String.concat ";"
+          (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k (json_repr v)) fs)
+      ^ "}"
+
+(* input, and the exact [of_string] result: the value's [json_repr] or
+   the error string, offset included *)
+let json_table =
+  [
+    ("\"\\/\"", "\"/\"");
+    ("\"\\b\\f\"", "\"\\b\\012\"");
+    ("\"a\\\"b\\\\c\\n\\r\\t\"", "\"a\\\"b\\\\c\\n\\r\\t\"");
+    ("\"\\ud83d\\ude00\"", "\"\\240\\159\\152\\128\"");
+    ("\"\\uD83D\\uDE00\"", "\"\\240\\159\\152\\128\"");
+    ("\"\240\159\152\128\"", "\"\\240\\159\\152\\128\"");
+    ("\"\\ud83d\\ud83d\"", "\"\\237\\160\\189\\237\\160\\189\"");
+    ("\"\\ud83dA\"", "\"\\237\\160\\189A\"");
+    ("\"\\ud83d\\uzzzz\"", "JSON parse error at offset 13: invalid \\u escape");
+    ("\"\\ud83d\"", "\"\\237\\160\\189\"");
+    ("\"\\ude00\"", "\"\\237\\184\\128\"");
+    ("\"\\ud83dx\"", "\"\\237\\160\\189x\"");
+    ("\"\\ud83d\\u00\"", "JSON parse error at offset 9: truncated \\u escape");
+    ("\"\195\169\226\130\172\"", "\"\\195\\169\\226\\130\\172\"");
+    ("\"\\u0000\"", "\"\\000\"");
+    ("\"a\nb\"", "\"a\\nb\"");
+    ("\"\000\001\031\127\"", "\"\\000\\001\\031\\127\"");
+    ("\"\255\254\"", "\"\\255\\254\"");
+    ("\"\\u12\"", "JSON parse error at offset 3: truncated \\u escape");
+    ("\"\\u12G4\"", "JSON parse error at offset 7: invalid \\u escape");
+    ("\"\\u1_23\"", "\"\\196\\163\"");
+    ("\"\\u+123\"", "JSON parse error at offset 7: invalid \\u escape");
+    ("\"\\u-123\"", "JSON parse error at offset 7: invalid \\u escape");
+    ("\"\\u 123\"", "JSON parse error at offset 7: invalid \\u escape");
+    ("\"\\x\"", "JSON parse error at offset 3: invalid escape");
+    ("\"abcdef\\q\"", "JSON parse error at offset 9: invalid escape");
+    ("\"ab\\u0041cd\\\"e\\\\\"", "\"abAcd\\\"e\\\\\"");
+    ("\"\\u00e9\\u20ac\"", "\"\\195\\169\\226\\130\\172\"");
+    ("\"abc", "JSON parse error at offset 4: unterminated string");
+    ("\"ab\\", "JSON parse error at offset 4: unterminated escape");
+    ("-0", "I0");
+    ("-0.0", "F-0x0p+0");
+    ("007", "I7");
+    ("-007", "I-7");
+    ("00", "I0");
+    ("0x10", "JSON parse error at offset 1: trailing characters");
+    ("123456789012345678", "I123456789012345678");
+    ("-123456789012345678", "I-123456789012345678");
+    ("1234567890123456789", "I1234567890123456789");
+    ("4611686018427387903", "I4611686018427387903");
+    ("4611686018427387904", "F0x1p+62");
+    ("-4611686018427387904", "I-4611686018427387904");
+    ("-4611686018427387905", "F-0x1p+62");
+    ("9999999999999999999", "F0x1.158e460913dp+63");
+    ("99999999999999999999999", "F0x1.52d02c7e14af6p+76");
+    ("-9999999999999999999", "F-0x1.158e460913dp+63");
+    ("1.", "F0x1p+0");
+    ("1e5", "F0x1.86ap+16");
+    ("1E+5", "F0x1.86ap+16");
+    ("1e-5", "F0x1.4f8b588e368f1p-17");
+    ("1.5", "F0x1.8p+0");
+    ("-.5", "F-0x1p-1");
+    (".5", "F0x1p-1");
+    ("+1", "F0x1p+0");
+    ("1e", "JSON parse error at offset 2: invalid number");
+    ("1.5.3", "JSON parse error at offset 5: invalid number");
+    ("-1-2", "JSON parse error at offset 4: invalid number");
+    ("1e400", "Finfinity");
+    ("-", "JSON parse error at offset 1: invalid number");
+    ("--1", "JSON parse error at offset 3: invalid number");
+    ("x", "JSON parse error at offset 0: invalid number");
+    ("e5", "JSON parse error at offset 2: invalid number");
+    ("tru", "JSON parse error at offset 0: expected true");
+    ("trux", "JSON parse error at offset 0: expected true");
+    ("true", "true");
+    ("false", "false");
+    ("fals", "JSON parse error at offset 0: expected false");
+    ("null", "null");
+    ("nul", "JSON parse error at offset 0: expected null");
+    ("nulll", "JSON parse error at offset 4: trailing characters");
+    ("{} x", "JSON parse error at offset 3: trailing characters");
+    ("[1] ]", "JSON parse error at offset 4: trailing characters");
+    ("1 2", "JSON parse error at offset 2: trailing characters");
+    ("", "JSON parse error at offset 0: unexpected end of input");
+    ("   ", "JSON parse error at offset 3: unexpected end of input");
+    (" \t\n\r[ 1 , 2 ] ", "[I1;I2]");
+    ("{\"a\":1,}", "JSON parse error at offset 7: expected '\"'");
+    ("{\"a\" 1}", "JSON parse error at offset 5: expected ':'");
+    ("[1 2]", "JSON parse error at offset 3: expected ',' or ']'");
+    ("[1,]", "JSON parse error at offset 3: invalid number");
+    ("{\"a\":1 \"b\":2}", "JSON parse error at offset 7: expected ',' or '}'");
+    ("{", "JSON parse error at offset 1: expected '\"'");
+    ("[", "JSON parse error at offset 1: unexpected end of input");
+    ("[1,", "JSON parse error at offset 3: unexpected end of input");
+    ("{\"a\":", "JSON parse error at offset 5: unexpected end of input");
+    ("{\"a\":1,\"a\":2}", "{\"a\":I1;\"a\":I2}");
+    ("{\"k\":[{\"x\":[]},{}],\"s\":\"A\\n\"}", "{\"k\":[{\"x\":[]};{}];\"s\":\"A\\n\"}");
+    ("[null,true,false,-1,2.25,\"z\"]", "[null;true;false;I-1;F0x1.2p+1;\"z\"]");
+  ]
+
+let test_json_table () =
+  List.iter
+    (fun (input, expected) ->
+      let got =
+        match Dt_obs.Json.of_string input with
+        | Ok v -> json_repr v
+        | Error e -> e
+      in
+      check Alcotest.string (Printf.sprintf "%S" input) expected got)
+    json_table
+
+(* strings over all 256 byte values, weighted toward the bytes the
+   codec escapes and toward multi-byte UTF-8 *)
+let gen_json_string =
+  let open QCheck.Gen in
+  let utf8 code =
+    let b = Buffer.create 4 in
+    Buffer.add_utf_8_uchar b (Uchar.of_int code);
+    Buffer.contents b
+  in
+  let piece =
+    frequency
+      [
+        ( 3,
+          map (String.make 1)
+            (oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\b'; '\012'; '/' ]) );
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f));
+        ( 2,
+          map utf8
+            (oneof [ int_range 0x80 0xd7ff; int_range 0xe000 0x10ffff ]) );
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_range 0 255));
+        (3, string_size ~gen:printable (int_range 1 12));
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 24) piece)
+
+let gen_json_value =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (4, map (fun s -> Dt_obs.Json.String s) gen_json_string);
+        (1, map (fun i -> Dt_obs.Json.Int i) int);
+        ( 1,
+          map (fun f -> Dt_obs.Json.Float f)
+            (map (fun f -> if Float.is_finite f then f else 0.5) float) );
+        (1, map (fun b -> Dt_obs.Json.Bool b) bool);
+        (1, return Dt_obs.Json.Null);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Dt_obs.Json.List l)
+                   (list_size (int_range 0 4) (self (n / 4))) );
+               ( 1,
+                 map (fun l -> Dt_obs.Json.Obj l)
+                   (list_size (int_range 0 4)
+                      (pair gen_json_string (self (n / 4)))) );
+             ])
+
+let prop_json_escape_oracle =
+  qtest ~count:1000 "json escaping matches the byte-at-a-time oracle"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_json_string)
+    (fun s ->
+      Dt_obs.Json.to_string (Dt_obs.Json.String s) = oracle_escape s
+      && Dt_obs.Json.to_string (Dt_obs.Json.Obj [ (s, Dt_obs.Json.Null) ])
+         = "{" ^ oracle_escape s ^ ":null}")
+
+let prop_json_roundtrip =
+  qtest ~count:500 "json of_string (to_string v) = v"
+    (QCheck.make ~print:json_repr gen_json_value)
+    (fun v ->
+      match Dt_obs.Json.of_string (Dt_obs.Json.to_string v) with
+      | Ok v' -> json_repr v' = json_repr v
+      | Error _ -> false)
+
 (* --- Metrics ----------------------------------------------------------- *)
 
 let test_metrics_record () =
@@ -964,6 +1179,9 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json escape parsing" `Quick test_json_parse_escapes;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
+    Alcotest.test_case "json codec table" `Quick test_json_table;
+    prop_json_escape_oracle;
+    prop_json_roundtrip;
     Alcotest.test_case "metrics record/applied" `Quick test_metrics_record;
     Alcotest.test_case "metrics latency histogram" `Quick
       test_metrics_latency_hist;
