@@ -10,22 +10,37 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* printing                                                            *)
 
+(* The escape for each byte value, or "" for a byte copied as is, and
+   the class table that flags the bytes with an escape. *)
+let escapes =
+  Array.init 256 (fun i ->
+      match Char.chr i with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | '\b' -> "\\b"
+      | '\012' -> "\\f"
+      | _ when i < 0x20 -> Printf.sprintf "\\u%04x" i
+      | _ -> "")
+
+let escaped = String.init 256 (fun i -> if escapes.(i) = "" then '0' else '1')
+
+(* copies each run of safe bytes with one blit, writing the escapes
+   between runs *)
 let escape_into buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    if String.unsafe_get escaped c = '1' then begin
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf (Array.unsafe_get escapes c);
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
 
 let float_repr f =
@@ -72,27 +87,41 @@ let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 exception Parse_error of int * string
 
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* the first index from [i] holding '"' or '\\', or the length of [s] *)
+let scan_run s i =
+  let i = ref i in
+  while
+    !i < String.length s
+    && (match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true)
+  do
+    incr i
+  done;
+  !i
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
+  let at c = !pos < n && s.[!pos] = c in
+  let eat c = at c && (incr pos; true) in
   let skip_ws () =
     while
       !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
     do
-      advance ()
+      incr pos
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
+  let expect c = if not (eat c) then fail (Printf.sprintf "expected '%c'" c) in
   let literal word v =
     let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
+    let rec same i = i = l || (s.[!pos + i] = word.[i] && same (i + 1)) in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       v
     end
@@ -119,82 +148,104 @@ let of_string s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let h = String.sub s !pos 4 in
-    pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some v -> v
-    | None -> fail "invalid \\u escape"
+    let p = !pos in
+    pos := p + 4;
+    let d i = hex_digit s.[p + i] in
+    let d0 = d 0 and d1 = d 1 and d2 = d 2 and d3 = d 3 in
+    if d0 lor d1 lor d2 lor d3 < 0 then fail "invalid \\u escape";
+    (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
   in
+  (* one escape, [!pos] just past its backslash *)
+  let unescape buf =
+    if !pos >= n then fail "unterminated escape";
+    let c = s.[!pos] in
+    incr pos;
+    match c with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' ->
+        let c1 = hex4 () in
+        let code =
+          if c1 >= 0xd800 && c1 <= 0xdbff && !pos + 6 <= n
+             && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+          then begin
+            pos := !pos + 2;
+            let c2 = hex4 () in
+            if c2 >= 0xdc00 && c2 <= 0xdfff then
+              0x10000 + ((c1 - 0xd800) lsl 10) + (c2 - 0xdc00)
+            else begin
+              utf8_of_code buf c1;
+              c2
+            end
+          end
+          else c1
+        in
+        utf8_of_code buf code
+    | _ -> fail "invalid escape"
+  in
+  (* a string without escapes is one [String.sub]; otherwise the runs
+     between escapes are copied whole *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' -> (
-          advance ();
-          if !pos >= n then fail "unterminated escape";
-          let c = s.[!pos] in
-          advance ();
-          match c with
-          | '"' -> Buffer.add_char buf '"'; go ()
-          | '\\' -> Buffer.add_char buf '\\'; go ()
-          | '/' -> Buffer.add_char buf '/'; go ()
-          | 'n' -> Buffer.add_char buf '\n'; go ()
-          | 'r' -> Buffer.add_char buf '\r'; go ()
-          | 't' -> Buffer.add_char buf '\t'; go ()
-          | 'b' -> Buffer.add_char buf '\b'; go ()
-          | 'f' -> Buffer.add_char buf '\012'; go ()
-          | 'u' ->
-              let c1 = hex4 () in
-              let code =
-                if c1 >= 0xd800 && c1 <= 0xdbff && !pos + 6 <= n
-                   && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                then begin
-                  pos := !pos + 2;
-                  let c2 = hex4 () in
-                  if c2 >= 0xdc00 && c2 <= 0xdfff then
-                    0x10000 + ((c1 - 0xd800) lsl 10) + (c2 - 0xdc00)
-                  else begin
-                    utf8_of_code buf c1;
-                    c2
-                  end
-                end
-                else c1
-              in
-              utf8_of_code buf code;
-              go ()
-          | _ -> fail "invalid escape")
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
+    let start = !pos in
+    let i = scan_run s start in
+    if i < n && s.[i] = '"' then begin
+      pos := i + 1;
+      String.sub s start (i - start)
+    end
+    else begin
+      let buf = Buffer.create (2 * (i - start) + 16) in
+      (* [s.[!pos .. i-1]] is a plain run and [i] is n, '"' or '\\' *)
+      let rec go i =
+        Buffer.add_substring buf s !pos (i - !pos);
+        pos := i;
+        if i >= n then fail "unterminated string";
+        pos := i + 1;
+        if s.[i] = '\\' then begin
+          unescape buf;
+          go (scan_run s !pos)
+        end
+      in
+      go i;
+      Buffer.contents buf
+    end
   in
+  let is_digit c = c >= '0' && c <= '9' in
+  let is_float_char = function
+    | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
+    | _ -> false
+  in
+  (* A number token is an optional '-' then a run of digits and
+     [.eE+-]. Plain integers of up to 18 digits are accumulated in
+     place; any other token is cut out and converted. *)
   let parse_number () =
     let start = !pos in
-    if peek () = Some '-' then advance ();
-    let is_float = ref false in
-    let rec go () =
-      match peek () with
-      | Some ('0' .. '9') -> advance (); go ()
-      | Some ('.' | 'e' | 'E' | '+' | '-') ->
-          is_float := true;
-          advance ();
-          go ()
-      | _ -> ()
-    in
-    go ();
-    let tok = String.sub s start (!pos - start) in
-    if tok = "" || tok = "-" then fail "invalid number";
-    if !is_float then
-      match float_of_string_opt tok with
+    let neg = eat '-' in
+    let digits = !pos in
+    let acc = ref 0 in
+    while !pos < n && is_digit s.[!pos] do
+      acc := (10 * !acc) + (Char.code s.[!pos] - 48);
+      incr pos
+    done;
+    let ndigits = !pos - digits in
+    if !pos < n && is_float_char s.[!pos] then begin
+      while !pos < n && is_float_char s.[!pos] do
+        incr pos
+      done;
+      match float_of_string_opt (String.sub s start (!pos - start)) with
       | Some f -> Float f
       | None -> fail "invalid number"
+    end
+    else if ndigits = 0 then fail "invalid number"
+    else if ndigits <= 18 then Int (if neg then - !acc else !acc)
     else
+      let tok = String.sub s start (!pos - start) in
       match int_of_string_opt tok with
       | Some i -> Int i
       | None -> (
@@ -204,15 +255,12 @@ let of_string s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
+        if eat '}' then Obj []
         else begin
           let fields = ref [] in
           let rec fields_loop () =
@@ -223,40 +271,33 @@ let of_string s =
             let v = parse_value () in
             fields := (k, v) :: !fields;
             skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); fields_loop ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
+            if eat ',' then fields_loop ()
+            else if not (eat '}') then fail "expected ',' or '}'"
           in
           fields_loop ();
           Obj (List.rev !fields)
         end
-    | Some '[' ->
-        advance ();
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
+        if eat ']' then List []
         else begin
           let items = ref [] in
           let rec items_loop () =
             let v = parse_value () in
             items := v :: !items;
             skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items_loop ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
+            if eat ',' then items_loop ()
+            else if not (eat ']') then fail "expected ',' or ']'"
           in
           items_loop ();
           List (List.rev !items)
         end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> parse_number ()
   in
   match
     let v = parse_value () in

@@ -1,11 +1,15 @@
 (** A minimal JSON value type with printer and parser.
 
-    The container ships no JSON library, and the observability exports
-    (metrics snapshots, JSONL traces) plus their round-trip tests only
-    need this small subset: UTF-8 strings with the standard escapes,
+    The repo depends on no JSON library, so this one module is the codec
+    everywhere the repo speaks JSON: metrics snapshots and JSONL traces,
+    the [deptest serve] wire protocol on both ends (the daemon and
+    [Dt_serve.Client]), and the [Dt_engine.Store] disk-cache segments.
+    It covers a small subset: UTF-8 strings with the standard escapes,
     62-bit ints kept distinct from floats, and order-preserving objects.
     Values printed by {!to_string} parse back to equal values with
-    {!of_string}. *)
+    {!of_string}. Both work on runs of bytes rather than one byte at a
+    time, since the warm serve path is mostly escaping and unescaping
+    long rendered answers. *)
 
 type t =
   | Null
@@ -17,14 +21,16 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact (single-line) rendering. *)
+(** Compact (single-line) rendering, stable byte for byte: the metrics
+    and daemon output-parity tests pin it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Same compact rendering, onto a formatter. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error. The error
-    string includes the byte offset. *)
+    string includes the byte offset. A [\u] escape takes exactly four
+    hex digits. *)
 
 val equal : t -> t -> bool
 (** Structural equality; object field order is significant. *)

@@ -79,9 +79,13 @@ type admission = { depth : int; waited_ns : int64 }
 
 let no_admission = { depth = 0; waited_ns = 0L }
 
+(* The hex MD5 of a request's source, computed once per analyze request:
+   it names the stored response and the ledger entry. *)
+let source_digest source = Digest.to_hex (Digest.string source)
+
 (* The store key prefix for rendered responses; pair verdicts use "p:"
    (see Pair_cache). *)
-let response_key source = "r:" ^ Digest.to_hex (Digest.string source)
+let response_key digest = "r:" ^ digest
 
 let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
     ?(slow_threshold_ns = 0L) ?(ledger_recent = 64) ?(ledger_top = 16)
@@ -175,11 +179,11 @@ let analyze_cold config source =
    how much tracing machinery to set up before running anything *)
 type response_lookup = Hit of string * int | Invalid | Miss
 
-let response_lookup t source =
+let response_lookup t digest =
   match t.store with
   | None -> Miss
   | Some store -> (
-      let key = response_key source in
+      let key = response_key digest in
       match Store.find store key with
       | Some json -> (
           match decode_response json with
@@ -192,12 +196,12 @@ let response_lookup t source =
               Invalid)
       | None -> Miss)
 
-let persist_response t source output degraded =
+let persist_response t digest output degraded =
   (* a degraded response reflects this run's faults or budget, not the
      program: never persist it *)
   match t.store with
   | Some store when degraded = 0 ->
-      Store.add store (response_key source)
+      Store.add store (response_key digest)
         (Json.Obj
            [ ("output", Json.String output); ("degraded", Json.Int degraded) ])
   | _ -> ()
@@ -206,14 +210,15 @@ let persist_response t source output degraded =
    (same memo cache, same store), so caching behavior is identical with
    tracing on or off *)
 let analyze_with t config source =
-  match response_lookup t source with
+  let digest = source_digest source in
+  match response_lookup t digest with
   | Hit (output, degraded) -> Ok (output, degraded)
   | Invalid -> analyze_cold config source
   | Miss -> (
       match analyze_cold config source with
       | Error _ as e -> e
       | Ok (output, degraded) as ok ->
-          persist_response t source output degraded;
+          persist_response t digest output degraded;
           ok)
 
 let analyze_source t source = analyze_with t t.config source
@@ -304,8 +309,9 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
   let armed = Reqtrace.Sampler.arm t.sampler in
   let ts_ms = int_of_float (Unix.gettimeofday () *. 1000.) in
   let t0 = Dt_obs.Clock.now_ns () in
+  let digest = source_digest source in
   let result, tier, wall_ns, spans =
-    match response_lookup t source with
+    match response_lookup t digest with
     | Hit (output, degraded) ->
         (* the warm path: no profiler, no buffers — an armed capture is
            one synthesized Request span, so always-on sampling costs
@@ -362,7 +368,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
           | Error _ as e -> e
           | Ok (output, degraded) as ok ->
               (match lookup with
-              | Miss -> persist_response t source output degraded
+              | Miss -> persist_response t digest output degraded
               | Hit _ | Invalid -> ());
               ok
         in
@@ -397,7 +403,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
     {
       trace_id;
       endpoint = "analyze";
-      source_digest = Digest.to_hex (Digest.string source);
+      source_digest = digest;
       tier;
       degraded;
       error = Result.is_error result;

@@ -139,7 +139,8 @@ let json_table =
     ("\"\255\254\"", "\"\\255\\254\"");
     ("\"\\u12\"", "JSON parse error at offset 3: truncated \\u escape");
     ("\"\\u12G4\"", "JSON parse error at offset 7: invalid \\u escape");
-    ("\"\\u1_23\"", "\"\\196\\163\"");
+    (* exactly four hex digits: [int_of_string] would accept the [_] *)
+    ("\"\\u1_23\"", "JSON parse error at offset 7: invalid \\u escape");
     ("\"\\u+123\"", "JSON parse error at offset 7: invalid \\u escape");
     ("\"\\u-123\"", "JSON parse error at offset 7: invalid \\u escape");
     ("\"\\u 123\"", "JSON parse error at offset 7: invalid \\u escape");

@@ -548,6 +548,10 @@ let test_slow_ledger_end_to_end () =
   | Some (Json.List (e :: _)) ->
       check bool "entry has endpoint analyze" true
         (Json.member "endpoint" e = Some (Json.String "analyze"));
+      (* the same digest names the stored response ("r:" ^ digest) *)
+      check bool "entry has the source digest" true
+        (Json.member "source_digest" e
+        = Some (Json.String (Digest.to_hex (Digest.string src))));
       check bool "entry has a tier" true
         (match Json.member "tier" e with
         | Some (Json.String t) ->
