@@ -622,6 +622,263 @@ let test_oversize_frame_connection () =
     | Some (Json.Int n) -> n >= 1
     | _ -> false)
 
+(* --- render parity oracle --------------------------------------------- *)
+
+(* The answer text as the Format-based printers produced it, kept here
+   as the reference: Render must emit exactly these bytes. *)
+module Oracle = struct
+  open Dt_ir
+
+  let affine ppf (a : Affine.t) =
+    let first = ref true in
+    let term ppf c name =
+      let sep =
+        if !first then (
+          first := false;
+          if c < 0 then "-" else "")
+        else if c < 0 then " - "
+        else " + "
+      in
+      let c = abs c in
+      if c = 1 then Format.fprintf ppf "%s%s" sep name
+      else Format.fprintf ppf "%s%d*%s" sep c name
+    in
+    List.iter (fun (i, c) -> term ppf c (Index.name i)) (Affine.index_terms a);
+    List.iter (fun (s, c) -> term ppf c s) (Affine.sym_terms a);
+    let k = Affine.const_part a in
+    if !first then Format.pp_print_int ppf k
+    else if k > 0 then Format.fprintf ppf " + %d" k
+    else if k < 0 then Format.fprintf ppf " - %d" (-k)
+
+  let dir_set ppf (s : Deptest.Direction.set) =
+    let module D = Deptest.Direction in
+    if D.is_full s then Format.pp_print_string ppf "*"
+    else if D.is_empty s then Format.pp_print_string ppf "0"
+    else
+      List.iter
+        (fun d -> Format.pp_print_string ppf (D.to_string d))
+        (D.elements s)
+
+  let dirvec ppf (t : Deptest.Dirvec.t) =
+    Format.pp_print_string ppf "(";
+    Array.iteri
+      (fun k s ->
+        if k > 0 then Format.pp_print_string ppf ",";
+        dir_set ppf s)
+      t;
+    Format.pp_print_string ppf ")"
+
+  let dist ppf = function
+    | Deptest.Outcome.Const d -> Format.pp_print_int ppf d
+    | Deptest.Outcome.Sym e -> affine ppf e
+    | Deptest.Outcome.Unknown -> Format.pp_print_string ppf "?"
+
+  let dep ppf (t : Deptest.Dep.t) =
+    Format.fprintf ppf "S%d -%s-> S%d %s %a" t.src_stmt
+      (Deptest.Dep.kind_name t.kind) t.snk_stmt t.array dirvec t.dirvec;
+    (match t.level with
+    | Some k -> Format.fprintf ppf " carried level %d" k
+    | None -> Format.fprintf ppf " loop-independent");
+    List.iter
+      (fun (i, d) -> Format.fprintf ppf " d_%s=%a" (Index.name i) dist d)
+      t.distances
+
+  let aref ppf (t : Aref.t) =
+    let sub ppf = function
+      | Aref.Linear a -> affine ppf a
+      | Aref.Nonlinear s -> Format.fprintf ppf "<%s>" s
+    in
+    if t.subs = [] then Format.pp_print_string ppf t.base
+    else
+      Format.fprintf ppf "%s(%a)" t.base
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+           sub)
+        t.subs
+
+  let stmt ppf (t : Stmt.t) =
+    if t.text <> "" then Format.pp_print_string ppf t.text
+    else
+      Format.fprintf ppf "S%d: %a = f(%a)" t.id
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space aref)
+        t.writes
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space aref)
+        t.reads
+
+  let nest ppf (prog : Nest.program) =
+    let rec node indent ppf n =
+      let pad = String.make indent ' ' in
+      match n with
+      | Nest.Stmt s -> Format.fprintf ppf "%s%a@." pad stmt s
+      | Nest.Loop (l, body) ->
+          Format.fprintf ppf "%sDO %s = %a, %a@." pad
+            (Index.name l.Loop.index) affine l.Loop.lo affine l.Loop.hi;
+          List.iter (node (indent + 2) ppf) body;
+          Format.fprintf ppf "%sENDDO@." pad
+    in
+    Format.fprintf ppf "PROGRAM %s@." prog.name;
+    List.iter (node 2 ppf) prog.body
+
+  let counters ppf c =
+    List.iter
+      (fun k ->
+        let a = Deptest.Counters.applied c k in
+        if a > 0 then
+          Format.fprintf ppf "%-18s applied %5d  indep %5d@."
+            (Deptest.Counters.kind_name k) a
+            (Deptest.Counters.proved_indep c k))
+      Deptest.Counters.all_kinds
+
+  let routine ~many (prog : Nest.program) (r : Deptest.Analyze.result) =
+    let buf = Buffer.create 512 in
+    if many then
+      Buffer.add_string buf (Printf.sprintf "===== %s =====\n" prog.name);
+    Buffer.add_string buf (Format.asprintf "%a@." nest prog);
+    if r.deps = [] then Buffer.add_string buf "no dependences\n"
+    else
+      List.iter
+        (fun d -> Buffer.add_string buf (Format.asprintf "%a@." dep d))
+        r.deps;
+    let degraded = ref 0 in
+    List.iter
+      (fun (p : Deptest.Analyze.pair_record) ->
+        match p.meta.Deptest.Pair_test.degraded with
+        | Some reason ->
+            incr degraded;
+            Buffer.add_string buf
+              (Format.asprintf
+                 "warning: %s S%d/S%d degraded conservatively (%s)@." p.array
+                 p.src_stmt p.snk_stmt
+                 (Dt_guard.Degrade.to_string reason))
+        | None -> ())
+      r.pairs;
+    Buffer.add_string buf
+      (Format.asprintf "@.-- tests applied --@.%a" counters r.counters);
+    (Buffer.contents buf, !degraded)
+
+  let unit_ progs results =
+    let many = List.length progs > 1 in
+    List.fold_left2
+      (fun (text, degraded) p r ->
+        let t, d = routine ~many p r in
+        (text ^ t, degraded + d))
+      ("", 0) progs results
+end
+
+(* Units shaped like the benchmark's miv workload: eight routines of six
+   statements in deep triangular nests, every other unit with a symbolic
+   outer bound, emitted and re-parsed as a client would send them. *)
+let miv_units n =
+  let st = Random.State.make [| 15 |] in
+  List.init n (fun u ->
+      let config =
+        {
+          Dt_workloads.Generator.default with
+          Dt_workloads.Generator.max_depth = 4;
+          max_bound = 8;
+          triangular = true;
+          symbolic_hi = u mod 2 = 1;
+        }
+      in
+      String.concat ""
+        (List.init 8 (fun r ->
+             Dt_frontend.Emit.program
+               {
+                 (Dt_workloads.Generator.program st config ~stmts:6) with
+                 Dt_ir.Nest.name = Printf.sprintf "U%dR%d" u r;
+               })))
+
+(* MD5 of every unit the parity test renders, concatenated in order *)
+let render_golden = "a172901b10855f714e5ed7e7c047500a"
+
+let test_render_parity () =
+  let all = Buffer.create (1 lsl 20) in
+  let compare_unit ?budget label source =
+    let progs = Dt_frontend.Lower.parse_unit source in
+    let cfg = Deptest.Analyze.Config.make ?budget () in
+    let results = Deptest.Analyze.run_all cfg progs in
+    let text, degraded = Dt_serve.Render.unit_ progs results in
+    let want_text, want_degraded = Oracle.unit_ progs results in
+    check string (label ^ " bytes") want_text text;
+    check int (label ^ " degraded") want_degraded degraded;
+    Buffer.add_string all text;
+    degraded
+  in
+  List.iter
+    (fun (e : Dt_workloads.Corpus.entry) ->
+      ignore (compare_unit e.Dt_workloads.Corpus.name e.Dt_workloads.Corpus.source))
+    Dt_workloads.Corpus.all;
+  let units = miv_units 32 in
+  List.iteri
+    (fun i s -> ignore (compare_unit (Printf.sprintf "miv unit %d" i) s))
+    units;
+  let degraded = compare_unit ~budget:0 "budget 0" (List.hd units) in
+  check bool "budget 0 degrades pairs" true (degraded > 0);
+  check string "render golden digest" render_golden
+    (Digest.to_hex (Digest.string (Buffer.contents all)))
+
+(* random dependences over every printed case: each kind, empty,
+   singleton and full direction sets, loop-independent, constant
+   distances of each sign, symbolic distances with unit and larger
+   coefficients of each sign, unknown distances *)
+let gen_dep =
+  let open QCheck.Gen in
+  let index =
+    map2
+      (fun n d -> Dt_ir.Index.make n ~depth:d)
+      (oneofl [ "I"; "J"; "K2" ])
+      (int_range 1 4)
+  in
+  let coeff =
+    oneof [ oneofl [ -1; 1; 0 ]; int_range (-9) 9; oneofl [ max_int; -max_int ] ]
+  in
+  (* each name at most once, so no two terms overflow when summed *)
+  let terms names =
+    map
+      (List.filter_map Fun.id)
+      (flatten_l
+         (List.map
+            (fun n ->
+              frequency [ (1, return None); (1, map (fun c -> Some (n, c)) coeff) ])
+            names))
+  in
+  let dist =
+    frequency
+      [
+        ( 2,
+          map
+            (fun d -> Deptest.Outcome.Const d)
+            (oneof [ int_range (-20) 20; oneofl [ 0; max_int; min_int ] ]) );
+        ( 3,
+          map3
+            (fun idx sym const ->
+              Deptest.Outcome.Sym (Dt_ir.Affine.make ~idx ~sym ~const))
+            (terms [ Dt_ir.Index.make "I" ~depth:1; Dt_ir.Index.make "J" ~depth:2 ])
+            (terms [ "N"; "M"; "LDA" ])
+            (int_range (-12) 12) );
+        (1, return Deptest.Outcome.Unknown);
+      ]
+  in
+  let set =
+    map3 (fun lt eq gt -> { Deptest.Direction.lt; eq; gt }) bool bool bool
+  in
+  map
+    (fun ((src_stmt, snk_stmt, kind), (dirvec, level, distances)) ->
+      { Deptest.Dep.src_stmt; snk_stmt; array = "A"; kind; dirvec; level;
+        distances })
+    (pair
+       (triple (int_range 0 40) (int_range 0 40)
+          (oneofl Deptest.Dep.[ Flow; Anti; Output; Input ]))
+       (triple
+          (array_size (int_range 0 4) set)
+          (opt (int_range 1 5))
+          (list_size (int_range 0 3) (pair index dist))))
+
+let prop_dep_printer =
+  Helpers.qtest ~count:500 "Dep printer matches the Format oracle"
+    (QCheck.make gen_dep) (fun d ->
+      Format.asprintf "%a" Deptest.Dep.pp d = Format.asprintf "%a" Oracle.dep d)
+
 let suite =
   [
     ("frame round-trip", `Quick, test_frame_roundtrip);
@@ -654,4 +911,6 @@ let suite =
     ("slow ledger end-to-end", `Quick, test_slow_ledger_end_to_end);
     ("concurrent clients", `Quick, test_concurrent_clients);
     ("oversize frame connection", `Quick, test_oversize_frame_connection);
+    ("render parity vs Format oracle", `Quick, test_render_parity);
+    prop_dep_printer;
   ]
