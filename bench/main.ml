@@ -265,6 +265,23 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The digest a committed baseline pins. A missing or unreadable
+   baseline is as fatal as a mismatching one, so a digest guard can
+   never pass by being skipped. *)
+let committed_digest path =
+  let fatal why =
+    Printf.eprintf "bench: FATAL: %s %s\n" path why;
+    exit 1
+  in
+  if not (Sys.file_exists path) then fatal "is missing"
+  else
+    match Dt_obs.Json.of_string (read_file path) with
+    | Error e -> fatal ("is unreadable: " ^ e)
+    | Ok j -> (
+        match Dt_obs.Json.member "digest" j with
+        | Some (Dt_obs.Json.String s) -> s
+        | _ -> fatal "has no \"digest\" string")
+
 (* render the full analysis result (dependences + paper counters) so the
    cross-setting identity check covers everything a user can observe *)
 let render_deps cfg progs =
@@ -510,27 +527,11 @@ let engine_bench () =
     shard_runs;
   Printf.printf "  output digest identical across jobs settings: %b\n"
     shard_identical;
-  let baseline_digest =
-    if Sys.file_exists "bench/engine_baseline.json" then
-      match Dt_obs.Json.of_string (read_file "bench/engine_baseline.json") with
-      | Ok j -> (
-          match Dt_obs.Json.member "digest" j with
-          | Some (Dt_obs.Json.String s) -> Some s
-          | _ -> None)
-      | Error _ -> None
-    else None
-  in
   let baseline_match =
-    match baseline_digest with
-    | None ->
-        print_endline
-          "  no committed engine baseline; digest guard skipped";
-        None
-    | Some b ->
-        Printf.printf "  digest vs bench/engine_baseline.json: %s\n"
-          (if b = shard_digest0 then "match" else "MISMATCH");
-        Some (b = shard_digest0)
+    committed_digest "bench/engine_baseline.json" = shard_digest0
   in
+  Printf.printf "  digest vs bench/engine_baseline.json: %s\n"
+    (if baseline_match then "match" else "MISMATCH");
   let cores = Dt_support.Pool.recommended_jobs () in
   if cores = 1 then
     print_endline
@@ -563,10 +564,7 @@ let engine_bench () =
               ("routines", Dt_obs.Json.Int shard_routines);
               ("stmts_per_routine", Dt_obs.Json.Int 4);
               ("digest", Dt_obs.Json.String shard_digest0);
-              ( "baseline_match",
-                match baseline_match with
-                | None -> Dt_obs.Json.Null
-                | Some b -> Dt_obs.Json.Bool b );
+              ("baseline_match", Dt_obs.Json.Bool baseline_match);
               ( "runs",
                 Dt_obs.Json.List
                   (List.map
@@ -639,7 +637,7 @@ let engine_bench () =
       "bench: FATAL: analysis output differs across jobs/cache settings";
     exit 1
   end;
-  if baseline_match = Some false then begin
+  if not baseline_match then begin
     prerr_endline
       "bench: FATAL: sharded-corpus digest differs from \
        bench/engine_baseline.json (semantic drift; if intended, recommit \
@@ -1232,22 +1230,9 @@ let serve_bench () =
      misses; identical output: %b\n"
     (speedup cold warm) (speedup cold disk_warm) disk_hits disk_misses
     !identical;
-  let baseline_match =
-    if Sys.file_exists "bench/serve_baseline.json" then
-      match Dt_obs.Json.of_string (read_file "bench/serve_baseline.json") with
-      | Ok j -> (
-          match Dt_obs.Json.member "digest" j with
-          | Some (Dt_obs.Json.String s) ->
-              Printf.printf "  digest vs bench/serve_baseline.json: %s\n"
-                (if s = digest then "match" else "MISMATCH");
-              Some (s = digest)
-          | _ -> None)
-      | Error _ -> None
-    else begin
-      print_endline "  no committed serve baseline; digest guard skipped";
-      None
-    end
-  in
+  let baseline_match = committed_digest "bench/serve_baseline.json" = digest in
+  Printf.printf "  digest vs bench/serve_baseline.json: %s\n"
+    (if baseline_match then "match" else "MISMATCH");
   let leg label (total, p50, p99) extra =
     ( label,
       Dt_obs.Json.Obj
@@ -1274,10 +1259,7 @@ let serve_bench () =
         ("disk_misses", Dt_obs.Json.Int disk_misses);
         ("identical_output", Dt_obs.Json.Bool !identical);
         ("digest", Dt_obs.Json.String digest);
-        ( "baseline_match",
-          match baseline_match with
-          | None -> Dt_obs.Json.Null
-          | Some b -> Dt_obs.Json.Bool b );
+        ("baseline_match", Dt_obs.Json.Bool baseline_match);
       ]
   in
   Dt_obs.Artifact.write_atomic "BENCH_serve.json"
@@ -1288,7 +1270,7 @@ let serve_bench () =
       "bench: FATAL: daemon verdicts differ from in-process analysis";
     exit 1
   end;
-  if baseline_match = Some false then begin
+  if not baseline_match then begin
     prerr_endline
       "bench: FATAL: serve output digest differs from \
        bench/serve_baseline.json (semantic drift; if intended, recommit \

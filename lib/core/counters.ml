@@ -45,11 +45,18 @@ let merge a b =
 
 let equal a b = a.applied = b.applied && a.indep = b.indep
 
-let pp ppf t =
+let to_buffer buf t =
   List.iter
     (fun k ->
       let a = applied t k in
       if a > 0 then
-        Format.fprintf ppf "%-18s applied %5d  indep %5d@." (kind_name k) a
+        Printf.bprintf buf "%-18s applied %5d  indep %5d\n" (kind_name k) a
           (proved_indep t k))
     all_kinds
+
+let to_string t =
+  let buf = Buffer.create 256 in
+  to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

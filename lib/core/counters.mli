@@ -42,4 +42,8 @@ val merge : t -> t -> t
 val equal : t -> t -> bool
 (** Same applied and proved-independent count for every kind. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the §6 table: one newline-terminated line per kind that was
+    applied at least once. *)
+
 val pp : Format.formatter -> t -> unit

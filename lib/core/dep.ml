@@ -20,15 +20,37 @@ let kind_name = function
 
 let is_carried_at t k = t.level = Some k
 
-let pp ppf t =
-  Format.fprintf ppf "S%d -%s-> S%d %s %a" t.src_stmt (kind_name t.kind)
-    t.snk_stmt t.array Dirvec.pp t.dirvec;
+let to_buffer buf t =
+  let add = Buffer.add_string buf in
+  let int n = add (string_of_int n) in
+  add "S";
+  int t.src_stmt;
+  add " -";
+  add (kind_name t.kind);
+  add "-> S";
+  int t.snk_stmt;
+  add " ";
+  add t.array;
+  add " ";
+  Dirvec.to_buffer buf t.dirvec;
   (match t.level with
-  | Some k -> Format.fprintf ppf " carried level %d" k
-  | None -> Format.fprintf ppf " loop-independent");
+  | Some k ->
+      add " carried level ";
+      int k
+  | None -> add " loop-independent");
   List.iter
     (fun (i, d) ->
-      Format.fprintf ppf " d_%a=%a" Index.pp i Outcome.pp_dist d)
+      add " d_";
+      add (Index.name i);
+      add "=";
+      Outcome.dist_to_buffer buf d)
     t.distances
+
+let to_string t =
+  let buf = Buffer.create 64 in
+  to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let compare = Stdlib.compare

@@ -24,5 +24,9 @@ val kind_name : kind -> string
 val is_carried_at : t -> int -> bool
 (** Carried exactly at that (1-based) level. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the dependence's one-line text, without a newline, e.g.
+    ["S1 -flow-> S2 A (<,=) carried level 1 d_I=1"]. *)
+
 val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int

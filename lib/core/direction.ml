@@ -42,8 +42,15 @@ let cardinal s =
 let set_compare a b = compare a b
 let set_equal a b = a = b
 
-let pp_set ppf s =
-  if is_full s then Format.pp_print_string ppf "*"
-  else if is_empty s then Format.pp_print_string ppf "0"
+let set_to_buffer buf s =
+  if is_full s then Buffer.add_char buf '*'
+  else if is_empty s then Buffer.add_char buf '0'
   else
-    List.iter (fun d -> Format.pp_print_string ppf (to_string d)) (elements s)
+    List.iter (fun d -> if mem d s then Buffer.add_string buf (to_string d)) all
+
+let set_to_string s =
+  let buf = Buffer.create 3 in
+  set_to_buffer buf s;
+  Buffer.contents buf
+
+let pp_set ppf s = Format.pp_print_string ppf (set_to_string s)

@@ -42,5 +42,7 @@ val negate_set : set -> set
 val cardinal : set -> int
 val set_compare : set -> set -> int
 val set_equal : set -> set -> bool
+val set_to_buffer : Buffer.t -> set -> unit
+(** '*' for the full set, '0' for the empty set, '<=' for {<,=}, etc. *)
+
 val pp_set : Format.formatter -> set -> unit
-(** '*' for the full set, '<=' for {<,=}, etc. *)

@@ -107,16 +107,21 @@ let merge sets =
       in
       List.fold_left step first rest |> Dt_support.Listx.dedup ~compare
 
-let pp ppf t =
-  Format.pp_print_string ppf "(";
+let to_buffer buf t =
+  Buffer.add_char buf '(';
   Array.iteri
     (fun k s ->
-      if k > 0 then Format.pp_print_string ppf ",";
-      Direction.pp_set ppf s)
+      if k > 0 then Buffer.add_char buf ',';
+      Direction.set_to_buffer buf s)
     t;
-  Format.pp_print_string ppf ")"
+  Buffer.add_char buf ')'
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let buf = Buffer.create 16 in
+  to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let pp_concrete ppf dirs =
   Format.pp_print_string ppf "(";

@@ -52,6 +52,9 @@ val merge : t list list -> t list
 val inter : t -> t -> t option
 val equal : t -> t -> bool
 val compare : t -> t -> int
+val to_buffer : Buffer.t -> t -> unit
+(** Append the vector as text, e.g. ["(<,*,=)"]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val pp_concrete : Format.formatter -> Direction.t list -> unit

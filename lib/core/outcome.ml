@@ -66,10 +66,17 @@ let dirs_of_dist assume = function
       | `Nonpos -> Direction.of_list [ Gt; Eq ]
       | `Unknown -> Direction.full_set)
 
-let pp_dist ppf = function
-  | Const d -> Format.pp_print_int ppf d
-  | Sym e -> Affine.pp ppf e
-  | Unknown -> Format.pp_print_string ppf "?"
+let dist_to_buffer buf = function
+  | Const d -> Buffer.add_string buf (string_of_int d)
+  | Sym e -> Affine.to_buffer buf e
+  | Unknown -> Buffer.add_char buf '?'
+
+let dist_to_string d =
+  let buf = Buffer.create 16 in
+  dist_to_buffer buf d;
+  Buffer.contents buf
+
+let pp_dist ppf d = Format.pp_print_string ppf (dist_to_string d)
 
 let pp ppf = function
   | Independent -> Format.pp_print_string ppf "independent"

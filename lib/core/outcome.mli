@@ -33,6 +33,9 @@ val dirs_of_dist : Assume.t -> dist -> Direction.set
 (** Direction set implied by a distance (using the sign oracle for
     symbolic distances). *)
 
+val dist_to_buffer : Buffer.t -> dist -> unit
+(** Append a distance as text: the integer, the affine form, or ["?"]. *)
+
 val pp_dist : Format.formatter -> dist -> unit
 val pp : Format.formatter -> t -> unit
 val equal_dist : dist -> dist -> bool

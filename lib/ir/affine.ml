@@ -133,24 +133,29 @@ let compare a b =
     let c = Smap.compare Int.compare a.sym b.sym in
     if c <> 0 then c else Int.compare a.const b.const
 
-let pp ppf a =
+let to_buffer buf a =
   let first = ref true in
-  let term ppf c name =
-    let sep =
-      if !first then (
-        first := false;
-        if c < 0 then "-" else "")
-      else if c < 0 then " - "
-      else " + "
-    in
+  let term c name =
+    if !first then (
+      first := false;
+      if c < 0 then Buffer.add_char buf '-')
+    else Buffer.add_string buf (if c < 0 then " - " else " + ");
     let c = abs c in
-    if c = 1 then Format.fprintf ppf "%s%s" sep name
-    else Format.fprintf ppf "%s%d*%s" sep c name
+    if c <> 1 then (
+      Buffer.add_string buf (string_of_int c);
+      Buffer.add_char buf '*');
+    Buffer.add_string buf name
   in
-  Index.Map.iter (fun i c -> term ppf c (Index.name i)) a.idx;
-  Smap.iter (fun s c -> term ppf c s) a.sym;
-  if !first then Format.pp_print_int ppf a.const
-  else if a.const > 0 then Format.fprintf ppf " + %d" a.const
-  else if a.const < 0 then Format.fprintf ppf " - %d" (-a.const)
+  Index.Map.iter (fun i c -> term c (Index.name i)) a.idx;
+  Smap.iter (fun s c -> term c s) a.sym;
+  if !first then Buffer.add_string buf (string_of_int a.const)
+  else if a.const <> 0 then (
+    Buffer.add_string buf (if a.const > 0 then " + " else " - ");
+    Buffer.add_string buf (string_of_int (abs a.const)))
 
-let to_string a = Format.asprintf "%a" pp a
+let to_string a =
+  let buf = Buffer.create 16 in
+  to_buffer buf a;
+  Buffer.contents buf
+
+let pp ppf a = Format.pp_print_string ppf (to_string a)

@@ -69,5 +69,11 @@ val eval_syms : t -> sym_env:(string -> int option) -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+val to_buffer : Buffer.t -> t -> unit
+(** Append the form as text, e.g. ["2*I - J + N - 3"]: index terms,
+    then symbolic terms, then the constant; ["0"] for the zero form. *)
+
 val pp : Format.formatter -> t -> unit
+(** {!to_buffer}'s text as one [Format] string (no break hints). *)
+
 val to_string : t -> string

@@ -87,6 +87,16 @@ let source_digest source = Digest.to_hex (Digest.string source)
    (see Pair_cache). *)
 let response_key digest = "r:" ^ digest
 
+(* The store fingerprint covers the serve configuration's semantics
+   (strategy, input pairs, cache, budget, deadline — not jobs), the cache
+   schema version and the build, so a config, schema or code change
+   invalidates every persisted segment instead of replaying stale
+   verdicts or another build's rendered text. *)
+let store_fingerprint ~build =
+  Record.fingerprint ~label:"serve"
+    ~config:(Record.config_of Deptest.Analyze.Config.default)
+    ~source:(Record.source_of (Store.schema_version ^ "\x00" ^ build))
+
 let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
     ?(slow_threshold_ns = 0L) ?(ledger_recent = 64) ?(ledger_top = 16)
     ?(max_inflight = 0) ?(queue_deadline_ms = 0) ?(restarts = 0) () =
@@ -99,15 +109,7 @@ let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
   List.iter
     (fun tier -> Metrics.serve_tier metrics ~tier:(Reqtrace.tier_name tier))
     Reqtrace.tiers;
-  (* the store fingerprint covers the serve configuration's semantics
-     (strategy, input pairs, cache, budget, deadline — not jobs) plus
-     the cache schema version, so a config or schema change invalidates
-     every persisted segment instead of replaying stale verdicts *)
-  let fingerprint =
-    Record.fingerprint ~label:"serve"
-      ~config:(Record.config_of (Deptest.Analyze.Config.make ~jobs ()))
-      ~source:(Record.source_of Store.schema_version)
-  in
+  let fingerprint = store_fingerprint ~build:Dt_obs.Build_id.git in
   let store =
     Option.map
       (fun dir -> Store.open_ ~dir ~fingerprint ?capacity:cache_capacity ())
@@ -206,22 +208,22 @@ let persist_response t digest output degraded =
            [ ("output", Json.String output); ("degraded", Json.Int degraded) ])
   | _ -> ()
 
-(* [config] differs from [t.config] only by an attached span profiler
-   (same memo cache, same store), so caching behavior is identical with
-   tracing on or off *)
-let analyze_with t config source =
+(* A cold answer replaces a missing or invalid response entry, so the
+   next identical request is a response hit. [config] differs from
+   [t.config] at most by a span profiler and a deadline (same memo cache,
+   same store), so caching behaves the same with tracing on or off. *)
+let analyze_and_persist t config digest source =
+  match analyze_cold config source with
+  | Error _ as e -> e
+  | Ok (output, degraded) as ok ->
+      persist_response t digest output degraded;
+      ok
+
+let analyze_source t source =
   let digest = source_digest source in
   match response_lookup t digest with
   | Hit (output, degraded) -> Ok (output, degraded)
-  | Invalid -> analyze_cold config source
-  | Miss -> (
-      match analyze_cold config source with
-      | Error _ as e -> e
-      | Ok (output, degraded) as ok ->
-          persist_response t digest output degraded;
-          ok)
-
-let analyze_source t source = analyze_with t t.config source
+  | Invalid | Miss -> analyze_and_persist t t.config digest source
 
 let warm t ?suite () =
   let entries =
@@ -333,7 +335,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
           else [||]
         in
         (Ok (output, degraded), Reqtrace.Response, wall_ns, spans)
-    | lookup ->
+    | Invalid | Miss ->
         let had_disk =
           match t.store with Some s -> Store.hits s | None -> 0
         in
@@ -363,15 +365,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
               (b, Dt_obs.Span.enter b Dt_obs.Span.Request))
             profiler
         in
-        let result =
-          match analyze_cold config source with
-          | Error _ as e -> e
-          | Ok (output, degraded) as ok ->
-              (match lookup with
-              | Miss -> persist_response t digest output degraded
-              | Hit _ | Invalid -> ());
-              ok
-        in
+        let result = analyze_and_persist t config digest source in
         let wall_ns = Int64.sub (Dt_obs.Clock.now_ns ()) t0 in
         note_analyze_wall t wall_ns;
         Option.iter (fun (b, slot) -> Dt_obs.Span.exit_ b slot) opened;

@@ -52,7 +52,7 @@ val create :
   t
 (** [jobs] is resolved through {!Dt_support.Pool.clamp_auto} (never
     oversubscribe). [cache_dir] attaches the persistent store, keyed by
-    the serve configuration's fingerprint; omitted means in-memory only.
+    {!store_fingerprint} of this build; omitted means in-memory only.
     [cache_capacity] bounds both tiers.
 
     [sample_period] (default 1: every request) arms span capture on
@@ -66,6 +66,12 @@ val create :
     that already waited longer than that in the queue. [restarts] is the
     supervised-restart count this incarnation inherits, exported on
     [health] and [deptest_serve_restarts_total]. *)
+
+val store_fingerprint : build:string -> string
+(** The disk store's fingerprint for a build label: the serve
+    configuration's semantics, the store schema and the build. A store
+    persisted under one label reads as invalid, and starts empty, under
+    any other. {!create} uses {!Dt_obs.Build_id.git}. *)
 
 val jobs : t -> int
 (** The clamped worker count actually in use. *)

@@ -3,7 +3,13 @@
     One definition of the verdict text, shared by [deptest analyze]'s
     plain path and the serve daemon: the daemon answers with exactly the
     bytes the one-shot CLI would print, so cached responses are
-    byte-identical to cold in-process runs by construction. *)
+    byte-identical to cold in-process runs by construction.
+
+    {!unit_} writes a whole compilation unit into one buffer through the
+    printers' buffer writers ({!Deptest.Dep.to_buffer},
+    {!Deptest.Counters.to_buffer}); the per-fragment functions below
+    render the same text piecewise for the CLI, which interleaves its
+    [--explain] output between them. *)
 
 val header : many:bool -> string -> string
 (** ["===== name =====\n"] when the unit has several routines. *)
@@ -25,4 +31,5 @@ val routine :
 
 val unit_ :
   Dt_ir.Nest.program list -> Deptest.Analyze.result list -> string * int
-(** {!routine} over a whole compilation unit ([many] inferred). *)
+(** {!routine} over a whole compilation unit ([many] inferred), written
+    into one buffer sized from the dependence count. *)

@@ -336,7 +336,68 @@ let test_engine_invalid_response_entry () =
   (match Dt_serve.Engine.analyze_source e src with
   | Ok (out, _) -> check string "fallback output identical" baseline out
   | Error msg -> Alcotest.fail msg);
-  check int "invalid counted" (invalid0 + 1) (Store.invalid store)
+  check int "invalid counted" (invalid0 + 1) (Store.invalid store);
+  (* the recomputed answer replaced the dropped entry *)
+  let hits = Store.hits store in
+  (match Dt_serve.Engine.analyze_source e src with
+  | Ok (out, _) -> check string "re-persisted output identical" baseline out
+  | Error msg -> Alcotest.fail msg);
+  check bool "next request hits the response tier" true
+    (Store.hits store > hits);
+  check int "nothing more counted invalid" (invalid0 + 1) (Store.invalid store)
+
+(* on the daemon path too, a response entry that fails to decode is
+   dropped, counted, and replaced by the recomputed answer *)
+let test_engine_invalid_response_repersisted () =
+  let analyze e =
+    match
+      Dt_serve.Engine.handle e
+        (Dt_serve.Protocol.Analyze
+           { source = src; id = None; trace_id = None; deadline_ms = None })
+    with
+    | Json.Obj _ as resp when Json.member "ok" resp = Some (Json.Bool true) ->
+        ()
+    | _ -> Alcotest.fail "analyze failed"
+  in
+  let response_hits e =
+    match
+      Json.member "serve"
+        (Dt_serve.Engine.handle e
+           (Dt_serve.Protocol.Metrics { prometheus = false }))
+    with
+    | Some serve -> (
+        match Json.member "response_hits" serve with
+        | Some (Json.Int n) -> n
+        | _ -> Alcotest.fail "no response_hits")
+    | None -> Alcotest.fail "no serve block"
+  in
+  let e = Dt_serve.Engine.create ~cache_dir:(tmpdir ()) () in
+  let store = Option.get (Dt_serve.Engine.store e) in
+  Store.add store ("r:" ^ Digest.to_hex (Digest.string src)) (Json.Int 3);
+  let invalid0 = Store.invalid store in
+  analyze e;
+  check int "first request counts the entry invalid" (invalid0 + 1)
+    (Store.invalid store);
+  check int "first request is not a response hit" 0 (response_hits e);
+  analyze e;
+  check int "second request is a response hit" 1 (response_hits e);
+  check int "nothing more counted invalid" (invalid0 + 1) (Store.invalid store)
+
+(* the build label is part of the store fingerprint: a store flushed by
+   one build reads as invalid, and empty, under another *)
+let test_store_fingerprint_build () =
+  let fp_a = Dt_serve.Engine.store_fingerprint ~build:"v1.0-3-gabc" in
+  let fp_b = Dt_serve.Engine.store_fingerprint ~build:"v1.0-4-gdef" in
+  check bool "two builds, two fingerprints" true (fp_a <> fp_b);
+  check string "the fingerprint is a function of the label" fp_a
+    (Dt_serve.Engine.store_fingerprint ~build:"v1.0-3-gabc");
+  let dir = tmpdir () in
+  let s = Store.open_ ~dir ~fingerprint:fp_a () in
+  Store.add s "r:x" (Json.String "old build's text");
+  ignore (Store.flush s);
+  let s2 = Store.open_ ~dir ~fingerprint:fp_b () in
+  check int "other build starts empty" 0 (Store.length s2);
+  check int "other build counts the segment invalid" 1 (Store.invalid s2)
 
 (* --- clamp ------------------------------------------------------------ *)
 
@@ -806,7 +867,8 @@ let test_render_parity () =
   in
   List.iter
     (fun (e : Dt_workloads.Corpus.entry) ->
-      ignore (compare_unit e.Dt_workloads.Corpus.name e.Dt_workloads.Corpus.source))
+      ignore
+        (compare_unit e.Dt_workloads.Corpus.name e.Dt_workloads.Corpus.source))
     Dt_workloads.Corpus.all;
   let units = miv_units 32 in
   List.iteri
@@ -877,7 +939,12 @@ let gen_dep =
 let prop_dep_printer =
   Helpers.qtest ~count:500 "Dep printer matches the Format oracle"
     (QCheck.make gen_dep) (fun d ->
-      Format.asprintf "%a" Deptest.Dep.pp d = Format.asprintf "%a" Oracle.dep d)
+      let want = Format.asprintf "%a" Oracle.dep d in
+      let buf = Buffer.create 8 in
+      Buffer.add_string buf "x";
+      Deptest.Dep.to_buffer buf d;
+      Buffer.contents buf = "x" ^ want
+      && Format.asprintf "%a" Deptest.Dep.pp d = want)
 
 let suite =
   [
@@ -905,6 +972,12 @@ let suite =
     ( "engine invalid response entry",
       `Quick,
       test_engine_invalid_response_entry );
+    ( "engine re-persists after an invalid entry",
+      `Quick,
+      test_engine_invalid_response_repersisted );
+    ( "store fingerprint covers the build",
+      `Quick,
+      test_store_fingerprint_build );
     ("jobs clamp", `Quick, test_clamp_auto);
     ("server end-to-end", `Quick, test_server_end_to_end);
     ("tracing byte parity", `Quick, test_tracing_byte_parity);
