@@ -84,6 +84,53 @@ let test_distance_vec () =
   let v = V.distances_to_vec [| Some 1; None; Some 0 |] in
   check Alcotest.string "(<,*,=)" "(<,*,=)" (V.to_string v)
 
+(* --- merge and compare against the list-comparing reference ----------- *)
+
+let all_sets =
+  (* every set, the empty one first *)
+  Array.init 8 (fun c ->
+      { D.lt = c land 1 <> 0; eq = c land 2 <> 0; gt = c land 4 <> 0 })
+
+(* a position: '*' half the time, so that partitions still intersect
+   over many levels, else any non-empty set *)
+let gen_level =
+  QCheck.Gen.(
+    frequency
+      [ (1, return D.full_set); (1, map (fun c -> all_sets.(c)) (int_range 1 7)) ])
+
+let gen_merge_input =
+  QCheck.Gen.(
+    int_range 0 25 >>= fun n ->
+    list_size (int_range 1 4)
+      (list_size (int_range 0 6) (array_size (return n) gen_level)))
+
+let print_merge_input sets =
+  String.concat " x "
+    (List.map
+       (fun set -> "{" ^ String.concat " " (List.map V.to_string set) ^ "}")
+       sets)
+
+let prop_merge_matches_reference =
+  qtest ~count:2000 "merge == reference merge, order included"
+    (QCheck.make ~print:print_merge_input gen_merge_input)
+    (fun sets ->
+      List.map V.to_string (V.merge sets)
+      = List.map V.to_string (Dirvec_reference.merge sets))
+
+let prop_compare_matches_reference =
+  let gen_vec =
+    QCheck.Gen.(
+      array_size (int_range 0 5) (map (fun c -> all_sets.(c)) (int_range 0 7)))
+  in
+  qtest ~count:2000 "compare/equal == reference compare"
+    (QCheck.make
+       ~print:(fun (a, b) -> V.to_string a ^ " vs " ^ V.to_string b)
+       (QCheck.Gen.pair gen_vec gen_vec))
+    (fun (a, b) ->
+      let sign x = Stdlib.compare x 0 in
+      let want = Dirvec_reference.compare a b in
+      sign (V.compare a b) = sign want && V.equal a b = (want = 0))
+
 let suite =
   [
     Alcotest.test_case "direction sets" `Quick test_direction_sets;
@@ -93,4 +140,6 @@ let suite =
     Alcotest.test_case "orientation" `Quick test_orientation;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "distance vectors" `Quick test_distance_vec;
+    prop_merge_matches_reference;
+    prop_compare_matches_reference;
   ]

@@ -221,6 +221,229 @@ let test_facts_digest_order_free () =
     (Dt_engine.Key.facts_digest [ n; m ])
     (Dt_engine.Key.facts_digest [ m; n ])
 
+(* --- Key: parity with the string-building reference --------------------- *)
+
+module Generator = Dt_workloads.Generator
+
+(* Unit [i] of the miv-batch stream of the end-to-end benchmark
+   (bench/e2e/units.ml, [fresh]): eight routines of deep, triangular,
+   coupled subscripts, odd units with a symbolic outer bound, routine [r]
+   of nest depth [1 + r mod 4] *)
+let miv_unit ~seed i =
+  let st = Random.State.make [| seed; 6; i |] in
+  let cfg =
+    { Generator.default with
+      Generator.max_depth = 4;
+      max_bound = 8;
+      triangular = true;
+      symbolic_hi = i mod 2 = 1 }
+  in
+  let routine r =
+    let rec draw () =
+      let p = Generator.program st cfg ~stmts:6 in
+      if Nest.max_depth p = 1 + (r mod 4) then p else draw ()
+    in
+    Dt_frontend.Emit.program
+      { (draw ()) with Nest.name = Printf.sprintf "U%dR%d" i r }
+  in
+  Dt_frontend.Lower.parse_unit (String.concat "" (List.init 8 routine))
+
+let corpus_units () =
+  List.map Dt_workloads.Corpus.programs Dt_workloads.Corpus.all
+
+let same_mapping (k : Dt_engine.Key.t) (r : Key_reference.t) =
+  List.equal
+    (fun (s, i) (s', i') -> String.equal s s' && Index.equal i i')
+    k.Dt_engine.Key.actual_of_canon r.Key_reference.actual_of_canon
+
+(* [(new key, reference key)] pairs induce the same classes: one new key
+   never meets two reference keys, nor one reference key two new keys.
+   Returns the number of classes, or [None] on a split or a merge. *)
+let classes_agree pairs =
+  let fwd = Hashtbl.create 1024 and bwd = Hashtbl.create 1024 in
+  let bind tbl a b =
+    match Hashtbl.find_opt tbl a with
+    | Some b' -> String.equal b b'
+    | None ->
+        Hashtbl.add tbl a b;
+        true
+  in
+  if List.for_all (fun (n, r) -> bind fwd n r && bind bwd r n) pairs then
+    Some (Hashtbl.length fwd)
+  else None
+
+let both_keys ~facts ~tag (src, snk) =
+  ( Dt_engine.Key.make ~src ~snk ~facts ~tag,
+    Key_reference.make ~src ~snk ~facts ~tag )
+
+let keys_agree keyed =
+  List.for_all (fun (k, r) -> same_mapping k r) keyed
+  && classes_agree
+       (List.map
+          (fun ((k : Dt_engine.Key.t), (r : Key_reference.t)) ->
+            (k.Dt_engine.Key.key, r.Key_reference.key))
+          keyed)
+     <> None
+
+(* a random query: Generator nests up to depth 4 (triangular, sometimes
+   a symbolic bound), a sink nest that is the same, another draw, or the
+   source's outer loops plus one of its own; subscripts over those
+   indices and stray ones, with symbolic terms, nonlinear text and
+   extreme coefficients *)
+let gen_query st =
+  let rand lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let cfg =
+    { Generator.default with
+      Generator.max_depth = 4;
+      max_bound = 8;
+      triangular = true;
+      symbolic_hi = Random.State.bool st }
+  in
+  let src_loops = Generator.loops st cfg in
+  let snk_loops =
+    match Random.State.int st 3 with
+    | 0 -> src_loops
+    | 1 -> Generator.loops st cfg
+    | _ ->
+        let keep =
+          Dt_support.Listx.take (rand 0 (List.length src_loops)) src_loops
+        in
+        keep
+        @ [ Loop.make
+              (Index.make "P" ~depth:(List.length keep))
+              ~lo:(Affine.const 1)
+              ~hi:(Affine.const (rand 2 8)) ]
+  in
+  (* now and then enough stray indices to pass ten canonical ids, and
+     the precomputed canonical names *)
+  let strays = if Random.State.int st 20 = 0 then rand 8 40 else rand 0 2 in
+  let pool =
+    Index.Set.elements
+      (Index.Set.of_list
+         (List.map (fun (l : Loop.t) -> l.Loop.index) (src_loops @ snk_loops)
+         @ List.init strays (fun k ->
+               Index.make ("S" ^ string_of_int k) ~depth:(rand 0 5))))
+  in
+  let coeff () =
+    match Random.State.int st 16 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | _ -> rand (-3) 3
+  in
+  let nonlinear = [| "I*J"; "IDX(I)"; "\"|,]["; "N1:"; ""; "%0" |] in
+  let sub () =
+    if Random.State.int st 10 = 0 then
+      Aref.Nonlinear nonlinear.(Random.State.int st (Array.length nonlinear))
+    else
+      let idx =
+        List.filter_map
+          (fun i -> if Random.State.int st 100 < 45 then Some (i, coeff ()) else None)
+          pool
+      in
+      let sym =
+        List.filter_map
+          (fun s -> if Random.State.int st 4 = 0 then Some (s, coeff ()) else None)
+          [ "M"; "N"; "N2" ]
+      in
+      Aref.Linear (Affine.make ~idx ~sym ~const:(coeff ()))
+  in
+  let rank = rand 1 3 in
+  let aref () = Aref.make "A" (List.init rank (fun _ -> sub ())) in
+  let src = aref () in
+  ((src, src_loops), (aref (), snk_loops))
+
+(* the same query under a fresh injective renaming of its indices
+   (depths kept: depth is part of an index's identity) *)
+let rename st ((src, src_loops), (snk, snk_loops)) =
+  let names = Array.init 48 (fun k -> Printf.sprintf "%c%d" "IJKLPSTXYZ".[k mod 10] (k / 10)) in
+  for k = Array.length names - 1 downto 1 do
+    let j = Random.State.int st (k + 1) in
+    let t = names.(k) in
+    names.(k) <- names.(j);
+    names.(j) <- t
+  done;
+  let tbl = Hashtbl.create 16 and next = ref 0 in
+  let ren i =
+    match Hashtbl.find_opt tbl i with
+    | Some i' -> i'
+    | None ->
+        let i' = Index.make names.(!next) ~depth:(Index.depth i) in
+        incr next;
+        Hashtbl.add tbl i i';
+        i'
+  in
+  let aff a =
+    Affine.make
+      ~idx:(List.map (fun (i, c) -> (ren i, c)) (Affine.index_terms a))
+      ~sym:(Affine.sym_terms a) ~const:(Affine.const_part a)
+  in
+  let aref (r : Aref.t) =
+    Aref.make r.Aref.base
+      (List.map
+         (function
+           | Aref.Linear a -> Aref.Linear (aff a) | Aref.Nonlinear s -> Aref.Nonlinear s)
+         r.Aref.subs)
+  in
+  let loops =
+    List.map (fun (l : Loop.t) ->
+        Loop.make (ren l.Loop.index) ~lo:(aff l.Loop.lo) ~hi:(aff l.Loop.hi))
+  in
+  ((aref src, loops src_loops), (aref snk, loops snk_loops))
+
+let gen_facts st =
+  List.init (Random.State.int st 4) (fun _ ->
+      Affine.make ~idx:[]
+        ~sym:[ ([| "M"; "N"; "N2" |].(Random.State.int st 3), Random.State.int st 5 - 2) ]
+        ~const:(Random.State.int st 21 - 10))
+
+let prop_key_matches_reference =
+  qtest ~count:500 "key classes == reference key classes (renamings)"
+    (QCheck.make ~print:string_of_int QCheck.Gen.nat)
+    (fun seed ->
+      let st = Random.State.make [| seed; 0x4b |] in
+      let facts_list = gen_facts st in
+      let facts = Dt_engine.Key.facts_digest facts_list in
+      let tag = if Random.State.bool st then "P" else "S" in
+      let q1 = gen_query st and q2 = gen_query st in
+      let queries = [ q1; rename st q1; rename st q1; q2; rename st q2 ] in
+      String.equal facts (Key_reference.facts_digest facts_list)
+      && keys_agree (List.map (both_keys ~facts ~tag) queries))
+
+(* every reference pair the analyzer keys on the corpus and on 64 miv
+   units, taken as one population: same classes, same index mappings *)
+let test_key_sweep_matches_reference () =
+  let units =
+    corpus_units () @ List.init 64 (fun i -> miv_unit ~seed:1 i)
+  in
+  let keyed =
+    List.concat_map
+      (fun progs ->
+        List.concat_map
+          (fun prog ->
+            Array.to_list (Deptest.Analyze.sites prog)
+            |> List.map (fun (site : Deptest.Analyze.site) ->
+                   let (a1 : Stmt.access), loops1 = site.Deptest.Analyze.left
+                   and (a2 : Stmt.access), loops2 = site.Deptest.Analyze.right in
+                   both_keys ~facts:"" ~tag:"P"
+                     ((a1.Stmt.aref, loops1), (a2.Stmt.aref, loops2))))
+          progs)
+      units
+  in
+  check bool "every site keeps the reference index mapping" true
+    (List.for_all (fun (k, r) -> same_mapping k r) keyed);
+  check bool "the sweep is not trivial" true (List.length keyed > 10_000);
+  match
+    classes_agree
+      (List.map
+         (fun ((k : Dt_engine.Key.t), (r : Key_reference.t)) ->
+           (k.Dt_engine.Key.key, r.Key_reference.key))
+         keyed)
+  with
+  | Some classes ->
+      check bool "classes are shared, not all singletons" true
+        (classes < List.length keyed)
+  | None -> Alcotest.fail "a new key splits or merges a reference class"
+
 (* --- Counters/Metrics merge laws --------------------------------------- *)
 
 let sample_counters spec =
@@ -463,8 +686,8 @@ let test_corpus_jobs_parity () =
         in
         Dt_workloads.Generator.program st gcfg ~stmts:3)
   in
-  let render ~jobs =
-    let cfg = Deptest.Analyze.Config.make ~jobs ~cache:false () in
+  let render ~jobs ~cache =
+    let cfg = Deptest.Analyze.Config.make ~jobs ~cache () in
     let buf = Buffer.create (1 lsl 16) in
     List.iter
       (fun (r : Deptest.Analyze.result) ->
@@ -483,14 +706,39 @@ let test_corpus_jobs_parity () =
           (Format.asprintf "%a@." Deptest.Counters.pp
              r.Deptest.Analyze.counters))
       (Deptest.Analyze.run_all cfg progs);
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+    (Digest.to_hex (Digest.string (Buffer.contents buf)),
+     Deptest.Analyze.Config.cache_stats cfg)
   in
   List.iter
-    (fun jobs ->
+    (fun (jobs, cache) ->
+      let digest, stats = render ~jobs ~cache in
       check string
-        (Printf.sprintf "jobs=%d renders the golden bytes" jobs)
-        golden (render ~jobs))
-    [ 1; 2; 4 ]
+        (Printf.sprintf "jobs=%d cache=%b renders the golden bytes" jobs cache)
+        golden digest;
+      (* the memo hits of a sequential run are a pure function of the
+         keys: pinned so that a key change cannot quietly lose them *)
+      if jobs = 1 && cache then
+        check int "jobs=1 memo hits" 191 (Option.fold ~none:(-1) ~some:fst stats))
+    [ (1, false); (2, false); (4, false); (1, true); (2, true); (4, true) ]
+
+(* cache reuse over whole workloads through one cache-on configuration
+   at jobs 1: the hit and miss counts are exact, so a key that splits or
+   merges a class moves them *)
+let check_reuse name units ~hits ~misses =
+  let cfg = Deptest.Analyze.Config.make ~jobs:1 ~cache:true () in
+  List.iter (fun progs -> ignore (Deptest.Analyze.run_all cfg progs)) units;
+  check (Alcotest.option (Alcotest.pair int int))
+    (name ^ ": memo hits and misses")
+    (Some (hits, misses))
+    (Deptest.Analyze.Config.cache_stats cfg)
+
+let test_reuse_corpus () =
+  check_reuse "corpus units" (corpus_units ()) ~hits:238 ~misses:241
+
+let test_reuse_miv () =
+  check_reuse "seed-1 miv units"
+    (List.init 64 (fun i -> miv_unit ~seed:1 i))
+    ~hits:247 ~misses:14_733
 
 let suite =
   [
@@ -507,6 +755,9 @@ let suite =
     Alcotest.test_case "key: isomorphic queries coincide" `Quick test_key_isomorphic;
     Alcotest.test_case "key: structural changes discriminate" `Quick test_key_discriminates;
     Alcotest.test_case "key: facts digest order-free" `Quick test_facts_digest_order_free;
+    prop_key_matches_reference;
+    Alcotest.test_case "key: corpus and miv sites match the reference" `Quick
+      test_key_sweep_matches_reference;
     Alcotest.test_case "counters merge laws" `Quick test_counters_merge_laws;
     prop_counters_split_merge;
     Alcotest.test_case "metrics merge + cache counters" `Quick test_metrics_merge;
@@ -522,4 +773,8 @@ let suite =
     Alcotest.test_case "run_all agrees with run" `Quick test_run_all_matches_run;
     Alcotest.test_case "thousand-routine jobs byte parity" `Slow
       test_corpus_jobs_parity;
+    Alcotest.test_case "cache reuse: corpus 238 hits / 241 misses" `Quick
+      test_reuse_corpus;
+    Alcotest.test_case "cache reuse: miv 247 hits / 14733 misses" `Quick
+      test_reuse_miv;
   ]
