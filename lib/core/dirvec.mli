@@ -47,11 +47,23 @@ val merge : t list list -> t list
 (** Cartesian merge of per-partition vector sets (each already over the
     full loop list, '*' on indices the partition does not constrain):
     position-wise intersection of one choice from each set; empty results
-    dropped. Duplicates removed. *)
+    dropped. Duplicates removed, and the list sorted by {!compare}: the
+    [--explain]/[--trace] verdict text and the persisted verdicts of the
+    disk cache list a pair's vectors in this order. (The dependence list
+    itself is re-sorted by the orientation pass.)
 
-val inter : t -> t -> t option
-val equal : t -> t -> bool
+    Vectors are merged as strings of one rank byte per level (see
+    {!compare}), intersected through a table and deduplicated after each
+    cartesian step; they are decoded once, at the end. *)
+
 val compare : t -> t -> int
+(** Shorter vectors first; then level by level, by the rank of each set
+    in the order of its {!Direction.elements} list:
+    [{} < {<} < {<,=} < * < {<,>} < {=} < {=,>} < {>}]. This is the order
+    a polymorphic compare of the element lists gives, without building
+    them. *)
+
+val equal : t -> t -> bool
 val to_buffer : Buffer.t -> t -> unit
 (** Append the vector as text, e.g. ["(<,*,=)"]. *)
 

@@ -18,7 +18,27 @@
 
     The mapping between canonical names and the query's actual indices is
     returned alongside the key so a cached result can be rehydrated into
-    a different (isomorphic) query's index space. *)
+    a different (isomorphic) query's index space.
+
+    {b Encoding.} The key is
+    [tag|facts|s[subs](loop)...|t[subs](loop)...]. A linear subscript is
+    [L:] and its affine form: index terms [c*%n+] in canonical-id order,
+    symbolic terms [c*N+] in [String.compare] order, then the constant. A
+    nonlinear subscript is [N], the length of its source text, [:], and
+    the text. A loop is [(%n@depth lo..hi)]. Integers are written in
+    decimal, exactly as [string_of_int] would.
+
+    {b Cost.} [make] writes into one buffer per domain
+    ([Domain.DLS]: it runs on pool workers) and allocates only the key
+    string and the mapping. Canonical ids come from a scan of a small
+    index array (physical equality first, then {!Dt_ir.Index.equal}),
+    each affine form's terms are insertion-sorted by id, and the names
+    ["%0"], ["%1"], ... come from a precomputed table.
+
+    {b JSON-safe.} Persisted keys are disk-store keys (["p:" ^ key]). The
+    structural characters are printable ASCII; symbols and nonlinear
+    source text are embedded verbatim and escaped by the JSON codec like
+    any other string, so a key survives the store's round trip. *)
 
 open Dt_ir
 

@@ -1,6 +1,6 @@
 module Json = Dt_obs.Json
 
-let schema_version = "deptest-diskcache/1"
+let schema_version = "deptest-diskcache/2"
 
 type t = {
   dir : string;

@@ -24,7 +24,9 @@
 type t
 
 val schema_version : string
-(** ["deptest-diskcache/1"]. *)
+(** ["deptest-diskcache/2"]. Version 2 is the {!Key} text that writes
+    index terms in canonical-id order; a version-1 segment loads as
+    invalid and the store starts empty. *)
 
 val open_ : dir:string -> fingerprint:string -> ?capacity:int -> unit -> t
 (** Open (creating [dir] if needed) and load every valid segment.

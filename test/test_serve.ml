@@ -165,15 +165,20 @@ let test_store_garbage () =
   corrupt_case "garbage" (fun _dir seg -> write_file seg "not json at all {")
 
 let test_store_wrong_schema () =
-  corrupt_case "wrong schema" (fun _dir seg ->
-      write_file seg
-        (Json.to_string
-           (Json.Obj
-              [
-                ("schema", Json.String "deptest-diskcache/999");
-                ("fingerprint", Json.String fp);
-                ("entries", Json.List []);
-              ])))
+  (* a future schema, and the previous one: version-1 segments hold keys
+     in the old text, which no current key reaches *)
+  List.iter
+    (fun schema ->
+      corrupt_case ("wrong schema " ^ schema) (fun _dir seg ->
+          write_file seg
+            (Json.to_string
+               (Json.Obj
+                  [
+                    ("schema", Json.String schema);
+                    ("fingerprint", Json.String fp);
+                    ("entries", Json.List []);
+                  ]))))
+    [ "deptest-diskcache/999"; "deptest-diskcache/1" ]
 
 let test_store_wrong_fingerprint () =
   let dir = tmpdir () in
