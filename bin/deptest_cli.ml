@@ -884,8 +884,9 @@ let serve_cmd =
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
             "Directory for the persistent verdict cache: versioned, \
-             fingerprinted segments written atomically; corrupt or stale \
-             segments are skipped (counted in the metrics) and rebuilt.")
+             fingerprinted, checksummed segments written atomically; \
+             corrupt or stale segments are skipped (counted in the \
+             metrics) and rebuilt.")
   in
   let cache_capacity_arg =
     Arg.(

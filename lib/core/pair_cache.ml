@@ -431,8 +431,13 @@ let find t (key : Dt_engine.Key.t) ~counters =
       | Some store -> (
           match Store.find store (disk_key key) with
           | None -> None
-          | Some json -> (
-              match decode_entry json with
+          | Some text -> (
+              let decoded =
+                match Json.of_string text with
+                | Ok json -> decode_entry json
+                | Error _ -> None
+              in
+              match decoded with
               | Some e ->
                   (* promote to the memo tier so later hits skip the
                      decode; producer mapping carries over verbatim *)
@@ -455,7 +460,7 @@ let store t (key : Dt_engine.Key.t) ~counters result =
          results, but the persistent tier re-checks — a degraded verdict
          must never outlive the run that produced it *)
       if result.Pair_test.meta.Pair_test.degraded = None then
-        Store.add store (disk_key key) (encode_entry e)
+        Store.add store (disk_key key) (Json.to_string (encode_entry e))
 
 let hits t = Memo.hits t.memo
 let misses t = Memo.misses t.memo

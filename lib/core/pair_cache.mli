@@ -25,10 +25,11 @@
 
     Disk tier: with [?disk] the cache is two-tiered — a memo miss falls
     through to the {!Dt_engine.Store} under key ["p:" ^ canonical-key],
-    a disk hit is validated (an undecodable payload counts invalid, is
-    removed, and the pair recomputes cold), promoted into the memo, and
-    rehydrated exactly like a memo hit; every store writes through to
-    disk. Degraded verdicts are filtered again at this layer: they are
+    whose value is the entry's JSON text. A disk hit is parsed and
+    validated (text that fails [Json.of_string] or the entry decoder
+    counts invalid, is removed, and the pair recomputes cold), promoted
+    into the memo, and rehydrated exactly like a memo hit; every store
+    writes through to disk. Degraded verdicts are filtered again at this layer: they are
     never persisted, even if a caller were to hand one in. *)
 
 type t

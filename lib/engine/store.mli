@@ -1,16 +1,32 @@
-(** A disk-backed, versioned key-value store for structural verdicts.
+(** A disk-backed, versioned key-value store of bytes.
 
-    This is the persistence tier under the in-process memo cache: entries
-    keyed by the {!Key} canonical form (or any other string key) with
-    JSON values, held resident in one hash table and persisted as
-    numbered segment files under a cache directory. A segment carries the
-    store's schema version and the owning configuration's fingerprint
-    (see {!Dt_report.Record.fingerprint}); loading skips — and counts as
-    invalid — any segment that fails to parse, declares a different
-    schema, or was written under a different fingerprint, so a corrupt or
-    stale cache degrades to a cold start and can never supply a wrong
-    verdict. Leftover [*.tmp] files from a crashed mid-write are likewise
-    removed and counted.
+    This is the persistence tier under the in-process memo cache: string
+    keys (the {!Key} canonical form, or any other string) mapped to
+    string values, held resident in one hash table and persisted as
+    numbered segment files [seg-N.bin] under a cache directory. The
+    store never looks inside a value: callers own the codec. The pair
+    tier stores each verdict as its JSON text and decodes it on a hit
+    (see [Deptest.Pair_cache]); the serve daemon's response tier stores
+    each rendered answer byte for byte, so a response hit decodes
+    nothing.
+
+    {b Segment format.} Three header lines, then the body:
+    {v
+    deptest-diskcache/3\n
+    FINGERPRINT\n
+    MD5-HEX-OF-BODY\n
+    KLEN VLEN\n KEY VALUE   (one record per entry, insertion order)
+    v}
+    [KLEN] and [VLEN] are decimal byte counts, so keys and values may
+    hold any bytes, newlines and NULs included. Opening a store parses
+    no JSON and builds no tree: loading checks the schema line, the
+    owning configuration's fingerprint (see
+    {!Dt_report.Record.fingerprint}), the MD5 of the body, and that the
+    framing ends exactly at end of file. A segment that fails any check
+    is counted invalid, deleted, and contributes nothing, so a corrupt,
+    damaged or stale cache degrades to a cold start and can never supply
+    a wrong value. Leftover [*.tmp] files from a crashed mid-write, and
+    version-2 [seg-N.json] segments, are likewise removed and counted.
 
     Writes are atomic ({!Dt_obs.Artifact}: temp file, fsync, rename);
     {!flush} compacts the whole resident table into a single new segment
@@ -24,26 +40,29 @@
 type t
 
 val schema_version : string
-(** ["deptest-diskcache/2"]. Version 2 is the {!Key} text that writes
-    index terms in canonical-id order; a version-1 segment loads as
-    invalid and the store starts empty. *)
+(** ["deptest-diskcache/3"]: the length-framed, checksummed byte
+    segments above. Version 2 held JSON segments ([seg-N.json]) of
+    decoded trees; they load as invalid and the store starts empty. *)
 
 val open_ : dir:string -> fingerprint:string -> ?capacity:int -> unit -> t
 (** Open (creating [dir] if needed) and load every valid segment.
     [capacity] bounds resident entries (FIFO eviction past it); omitted
     means unbounded. Invalid segments are deleted after being counted —
-    the next {!flush} rebuilds a clean directory. Raises [Sys_error] /
-    [Unix.Unix_error] only for a directory that cannot be created. *)
+    the next {!flush} rebuilds a clean directory. [fingerprint] is one
+    line (the store writes it as the segment's second line). Raises
+    [Sys_error] / [Unix.Unix_error] only for a directory that cannot be
+    created. *)
 
 val dir : t -> string
 val fingerprint : t -> string
 
-val find : t -> string -> Dt_obs.Json.t option
-(** Bumps the hit or miss counter. *)
+val find : t -> string -> string option
+(** The bytes last added under the key. Bumps the hit or miss counter. *)
 
-val add : t -> string -> Dt_obs.Json.t -> unit
-(** Insert or replace, evicting FIFO past capacity. The entry is
-    resident immediately and durable after the next {!flush}. *)
+val add : t -> string -> string -> unit
+(** Insert or replace, evicting FIFO past capacity. A replaced entry
+    keeps its place in the insertion order. The entry is resident
+    immediately and durable after the next {!flush}. *)
 
 val remove : t -> string -> unit
 (** Drop a resident entry (e.g. one whose value failed to decode).
@@ -51,7 +70,7 @@ val remove : t -> string -> unit
 
 val note_invalid : t -> unit
 (** Count an invalid cache object found outside segment loading — a
-    resident entry whose payload failed validating decode. *)
+    resident value that failed its caller's validating decode. *)
 
 val flush : t -> int
 (** Persist: write all resident entries as one new segment and unlink
@@ -60,15 +79,21 @@ val flush : t -> int
     no-op returning the resident count. *)
 
 val length : t -> int
+
+val resident_bytes : t -> int
+(** The summed key and value lengths of the resident entries, kept
+    current on insert, replace, remove and eviction. *)
+
 val hits : t -> int
 val misses : t -> int
 
 val invalid : t -> int
-(** Invalid segments, tmp leftovers, and undecodable entries seen. *)
+(** Invalid segments, tmp and version-2 leftovers, and undecodable
+    values seen. *)
 
 val evictions : t -> int
 val segments : t -> int
 (** Segment files currently on disk. *)
 
-val fold : t -> init:'a -> f:('a -> string -> Dt_obs.Json.t -> 'a) -> 'a
+val fold : t -> init:'a -> f:('a -> string -> string -> 'a) -> 'a
 (** Over the resident entries in insertion order (oldest first). *)

@@ -164,12 +164,6 @@ let parse source =
   | exception Dt_frontend.Lower.Error (msg, line) ->
       Error (Printf.sprintf "line %d: %s" line msg)
 
-let decode_response json =
-  match (Json.member "output" json, Json.member "degraded" json) with
-  | Some (Json.String output), Some (Json.Int degraded) ->
-      Some (output, degraded)
-  | _ -> None
-
 let analyze_cold config source =
   match parse source with
   | Error _ as e -> e
@@ -177,41 +171,31 @@ let analyze_cold config source =
       let results = Deptest.Analyze.run_all config progs in
       Ok (Render.unit_ progs results)
 
-(* the response-tier lookup, split out so the analyze path can decide
-   how much tracing machinery to set up before running anything *)
-type response_lookup = Hit of string * int | Invalid | Miss
-
+(* The response-tier lookup, split out so the analyze path can decide
+   how much tracing machinery to set up before running anything. The
+   stored value is the rendered answer itself, and only undegraded
+   answers are stored, so a hit is the answer with 0 degraded pairs and
+   decodes nothing; on-disk damage is the segment checksum's to catch. *)
 let response_lookup t digest =
   match t.store with
-  | None -> Miss
-  | Some store -> (
-      let key = response_key digest in
-      match Store.find store key with
-      | Some json -> (
-          match decode_response json with
-          | Some (output, degraded) ->
-              bump t.c.response_hits;
-              Hit (output, degraded)
-          | None ->
-              Store.note_invalid store;
-              Store.remove store key;
-              Invalid)
-      | None -> Miss)
+  | None -> None
+  | Some store ->
+      let hit = Store.find store (response_key digest) in
+      if Option.is_some hit then bump t.c.response_hits;
+      hit
 
 let persist_response t digest output degraded =
   (* a degraded response reflects this run's faults or budget, not the
      program: never persist it *)
   match t.store with
   | Some store when degraded = 0 ->
-      Store.add store (response_key digest)
-        (Json.Obj
-           [ ("output", Json.String output); ("degraded", Json.Int degraded) ])
+      Store.add store (response_key digest) output
   | _ -> ()
 
-(* A cold answer replaces a missing or invalid response entry, so the
-   next identical request is a response hit. [config] differs from
-   [t.config] at most by a span profiler and a deadline (same memo cache,
-   same store), so caching behaves the same with tracing on or off. *)
+(* A cold answer fills a missing response entry, so the next identical
+   request is a response hit. [config] differs from [t.config] at most
+   by a span profiler and a deadline (same memo cache, same store), so
+   caching behaves the same with tracing on or off. *)
 let analyze_and_persist t config digest source =
   match analyze_cold config source with
   | Error _ as e -> e
@@ -222,8 +206,8 @@ let analyze_and_persist t config digest source =
 let analyze_source t source =
   let digest = source_digest source in
   match response_lookup t digest with
-  | Hit (output, degraded) -> Ok (output, degraded)
-  | Invalid | Miss -> analyze_and_persist t t.config digest source
+  | Some output -> Ok (output, 0)
+  | None -> analyze_and_persist t t.config digest source
 
 let warm t ?suite () =
   let entries =
@@ -314,7 +298,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
   let digest = source_digest source in
   let result, tier, wall_ns, spans =
     match response_lookup t digest with
-    | Hit (output, degraded) ->
+    | Some output ->
         (* the warm path: no profiler, no buffers — an armed capture is
            one synthesized Request span, so always-on sampling costs
            nothing where latency matters most *)
@@ -334,8 +318,8 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
             |]
           else [||]
         in
-        (Ok (output, degraded), Reqtrace.Response, wall_ns, spans)
-    | Invalid | Miss ->
+        (Ok (output, 0), Reqtrace.Response, wall_ns, spans)
+    | None ->
         let had_disk =
           match t.store with Some s -> Store.hits s | None -> 0
         in
@@ -518,6 +502,7 @@ let handle_op t admission req =
                   [
                     ("dir", Json.String (Store.dir s));
                     ("resident", Json.Int (Store.length s));
+                    ("resident_bytes", Json.Int (Store.resident_bytes s));
                     ("segments", Json.Int (Store.segments s));
                   ] );
         ]

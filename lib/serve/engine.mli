@@ -2,8 +2,9 @@
     optional disk store + metrics registry) serving every request.
 
     Two cache levels answer an analyze request:
-    + a response-level entry (key ["r:" ^ source-digest]) holding the
-      rendered verdict text — a whole round-trip short-circuits;
+    + a response-level entry (key ["r:" ^ source-digest]) whose value
+      is the rendered verdict text, byte for byte — a whole round-trip
+      short-circuits and a hit decodes nothing;
     + the structural pair tier ({!Deptest.Pair_cache} over the same
       {!Dt_engine.Store}, keys ["p:" ^ canonical-key]) — a cold response
       over warm pairs still skips the test cascade.
