@@ -604,15 +604,57 @@ let wavefront =
       END
 |}
 
+(* s statements over one array in a 2-deep nest, ~1.5*s^2 coupled
+   reference pairs: at s = 64 (6176 pairs) large enough to cross the
+   engine's sequential-fallback grain *)
+let synthetic_nest s =
+  let li = loop ~hi:100 i0 and lj = loop ~hi:100 j1 in
+  let stmts =
+    List.init s (fun k ->
+        let sub c d =
+          [ av ~c i0; Affine.add_const d (Affine.add (av i0) (av ~c:(-k) j1)) ]
+        in
+        Stmt.make ~id:k
+          ~writes:[ Aref.linear "A" (sub (k mod 5) 0) ]
+          ~reads:[ Aref.linear "A" (sub ((k + 2) mod 5) 1) ]
+          ~text:
+            (Printf.sprintf "A(I+%d,I+J-%d) = A(I+%d,I+J-%d+1)" (k mod 5) k
+               ((k + 2) mod 5) k)
+          ())
+  in
+  Nest.program ~name:(Printf.sprintf "synthetic-%d" s)
+    [ Nest.Loop (li, [ Nest.Loop (lj, List.map (fun st -> Nest.Stmt st) stmts) ]) ]
+
+(* the wavefront nest, the whole corpus and the 64-statement synthetic
+   nest, one configuration per setting over each whole input, so a
+   cache-on setting shares its memo across the corpus routines. The
+   larger inputs run fewer settings: each corpus routine at jobs > 1
+   starts its own workers, and the synthetic nest costs ~50 ms a
+   setting. *)
 let test_analyze_jobs_parity () =
-  let base = render_result (Deptest.Analyze.Config.make ~jobs:1 ~cache:false ()) wavefront in
+  let render cfg progs = String.concat "" (List.map (render_result cfg) progs) in
   List.iter
-    (fun (jobs, cache) ->
-      check string
-        (Printf.sprintf "jobs=%d cache=%b matches sequential" jobs cache)
-        base
-        (render_result (Deptest.Analyze.Config.make ~jobs ~cache ()) wavefront))
-    [ (2, false); (4, false); (1, true); (4, true); (0, true) ]
+    (fun (name, progs, settings) ->
+      let base =
+        render (Deptest.Analyze.Config.make ~jobs:1 ~cache:false ()) progs
+      in
+      List.iter
+        (fun (jobs, cache) ->
+          check string
+            (Printf.sprintf "%s: jobs=%d cache=%b matches sequential" name jobs
+               cache)
+            base
+            (render (Deptest.Analyze.Config.make ~jobs ~cache ()) progs))
+        settings)
+    [
+      ( "wavefront",
+        [ wavefront ],
+        [ (2, false); (4, false); (1, true); (4, true); (0, true) ] );
+      ( "corpus",
+        List.concat (corpus_units ()),
+        [ (2, false); (1, true) ] );
+      ("synthetic-64", [ synthetic_nest 64 ], [ (2, false) ]);
+    ]
 
 let test_analyze_cache_hits () =
   let cfg = Deptest.Analyze.Config.make ~jobs:1 () in
@@ -665,27 +707,33 @@ let test_run_all_matches_run () =
     seq sharded
 
 (* byte-parity over a generated thousand-routine corpus: every jobs
-   setting must render the identical analysis, pairs and counters
-   included. Seeded generation, half the routines with a symbolic outer
-   bound. [golden] is the jobs=1 digest recorded when the analyzer could
-   still route Banerjee queries to [Reference]: at that commit the
-   from-scratch, compiled and per-query-dispatched runs all matched it
-   at jobs 1, 2 and 4. *)
+   setting must render the identical analysis. Seeded generation, half
+   the routines with a symbolic outer bound. Two inputs:
+   - 3 statements per routine, rendering deps, pair records and
+     counters. [golden] is the jobs=1 digest recorded when the analyzer
+     could still route Banerjee queries to [Reference]: at that commit
+     the from-scratch, compiled and per-query-dispatched runs all matched
+     it at jobs 1, 2 and 4.
+   - 4 statements per routine, named, rendering each name, its deps and
+     its counters: the corpus bench/main.ml's jobs gate times. Its
+     golden is the digest the bench recorded at jobs 1 and checked at
+     jobs 2 and 4 before this check moved here; jobs 2 is the setting
+     pinned (jobs 1 and 4 are the 3-statement input's). *)
+let thousand_routines ~stmts =
+  let routines = 1000 in
+  let st = Random.State.make [| 0xD09; routines |] in
+  let sym =
+    { Dt_workloads.Generator.default with
+      Dt_workloads.Generator.symbolic_hi = true }
+  in
+  List.init routines (fun k ->
+      let gcfg = if k mod 2 = 0 then Dt_workloads.Generator.default else sym in
+      let p = Dt_workloads.Generator.program st gcfg ~stmts in
+      { p with Nest.name = Printf.sprintf "gen-%04d" k })
+
 let test_corpus_jobs_parity () =
   let golden = "e700f6e2bb1a8f17ac9e609d48dba99a" in
-  let routines = 1000 in
-  let progs =
-    let st = Random.State.make [| 0xD09; routines |] in
-    let sym =
-      { Dt_workloads.Generator.default with
-        Dt_workloads.Generator.symbolic_hi = true }
-    in
-    List.init routines (fun k ->
-        let gcfg =
-          if k mod 2 = 0 then Dt_workloads.Generator.default else sym
-        in
-        Dt_workloads.Generator.program st gcfg ~stmts:3)
-  in
+  let progs = thousand_routines ~stmts:3 in
   let render ~jobs ~cache =
     let cfg = Deptest.Analyze.Config.make ~jobs ~cache () in
     let buf = Buffer.create (1 lsl 16) in
@@ -719,7 +767,24 @@ let test_corpus_jobs_parity () =
          keys: pinned so that a key change cannot quietly lose them *)
       if jobs = 1 && cache then
         check int "jobs=1 memo hits" 191 (Option.fold ~none:(-1) ~some:fst stats))
-    [ (1, false); (2, false); (4, false); (1, true); (2, true); (4, true) ]
+    [ (1, false); (2, false); (4, false); (1, true); (2, true); (4, true) ];
+  let progs4 = thousand_routines ~stmts:4 in
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter2
+    (fun (p : Nest.program) (r : Deptest.Analyze.result) ->
+      Buffer.add_string buf (p.Nest.name ^ "\n");
+      List.iter
+        (fun d -> Buffer.add_string buf (Format.asprintf "%a@." Deptest.Dep.pp d))
+        r.Deptest.Analyze.deps;
+      Buffer.add_string buf
+        (Format.asprintf "%a@." Deptest.Counters.pp r.Deptest.Analyze.counters))
+    progs4
+    (Deptest.Analyze.run_all
+       (Deptest.Analyze.Config.make ~jobs:2 ~cache:false ())
+       progs4);
+  check string "4 statements, jobs=2: renders the golden bytes"
+    "21309830e26d29150dea20f308a3dbcd"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* cache reuse over whole workloads through one cache-on configuration
    at jobs 1: the hit and miss counts are exact, so a key that splits or

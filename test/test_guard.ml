@@ -361,7 +361,30 @@ let test_injection_sites_contained () =
               Alcotest.(check bool) "degraded pairs report dependence" true
                 (is_dependent r.Deptest.Pair_test.result))
             degraded))
-    driver_sites
+    driver_sites;
+  (* the same contract over the whole corpus: a clean pass degrades
+     nothing, and every-7th-hit overflow and exception injection
+     degrades some pairs *)
+  let corpus_degraded () =
+    let m = Dt_obs.Metrics.create () in
+    let cfg = Deptest.Analyze.Config.make ~jobs:1 ~cache:false ~metrics:m () in
+    List.iter
+      (fun e ->
+        List.iter
+          (fun p -> ignore (Deptest.Analyze.run cfg p))
+          (Dt_workloads.Corpus.programs e))
+      Dt_workloads.Corpus.all;
+    Dt_obs.Metrics.degraded_pairs m
+  in
+  Alcotest.(check int) "clean corpus pass: nothing degraded" 0
+    (corpus_degraded ());
+  let injected =
+    Fun.protect ~finally:Inject.disable (fun () ->
+        Inject.enable ~period:7 [ Inject.Overflow; Inject.Exception ];
+        corpus_degraded ())
+  in
+  Alcotest.(check bool) "injected corpus pass: some pairs degraded" true
+    (injected > 0)
 
 let test_injection_outside_driver () =
   (* a site hit outside the driver's containment (a direct utility call)

@@ -234,6 +234,45 @@ let test_ledger_merge_idempotent () =
 (* ------------------------------------------------------------------ *)
 (* drift                                                               *)
 
+(* one record per instrumented whole-corpus pass: jobs 1, jobs 2, the
+   subscript-by-subscript strategy, and a one-node budget *)
+let corpus_records () =
+  let entries = Dt_workloads.Corpus.all in
+  let progs = List.concat_map Dt_workloads.Corpus.programs entries in
+  let source =
+    Dt_report.Record.source_of ~routines:(List.length progs)
+      (String.concat "\n"
+         (List.map (fun (e : Dt_workloads.Corpus.entry) -> e.source) entries))
+  in
+  let pass ~label ?strategy ?budget ~jobs () =
+    let metrics = Dt_obs.Metrics.create () in
+    let cfg =
+      Deptest.Analyze.Config.make ?strategy ~jobs ~cache:false ~metrics ?budget
+        ()
+    in
+    let counters = Deptest.Counters.create () in
+    let pairs = ref 0 and indep = ref 0 and degr = ref 0 in
+    List.iter
+      (fun p ->
+        let r = Deptest.Analyze.run cfg p in
+        Deptest.Counters.merge_into counters r.Deptest.Analyze.counters;
+        let np, ni, nd = Dt_report.Record.summary_of_result r in
+        pairs := !pairs + np;
+        indep := !indep + ni;
+        degr := !degr + nd)
+      progs;
+    Dt_report.Record.make ~label ~config:(Dt_report.Record.config_of cfg)
+      ~source ~counters ~pairs:!pairs ~independent:!indep ~degraded:!degr
+      ~metrics ~wall_ns:1 ()
+  in
+  [
+    pass ~label:"corpus" ~jobs:1 ();
+    pass ~label:"corpus" ~jobs:2 ();
+    pass ~label:"corpus-subscript"
+      ~strategy:Deptest.Pair_test.Subscript_by_subscript ~jobs:1 ();
+    pass ~label:"corpus-budget1" ~budget:1 ~jobs:1 ();
+  ]
+
 let test_drift_identical_runs () =
   let baseline = [ record_of small_prog; record_of small_prog ] in
   let current = [ record_of ~jobs:2 small_prog ] in
@@ -243,7 +282,55 @@ let test_drift_identical_runs () =
   Alcotest.(check bool) "identical runs never drift" false
     (Dt_report.Drift.has_drift report);
   Alcotest.(check int) "one fingerprint group" 1
-    (List.length report.Dt_report.Drift.groups)
+    (List.length report.Dt_report.Drift.groups);
+  (* the four instrumented whole-corpus passes, against the ledger they
+     wrote when this baseline was committed *)
+  let corpus = corpus_records () in
+  let stable r = json_str (Dt_report.Record.stable_json r) in
+  (match corpus with
+  | r1 :: r2 :: _ ->
+      Alcotest.(check string) "corpus: jobs=1 and jobs=2 stable records"
+        (stable r1) (stable r2)
+  | _ -> Alcotest.fail "expected four corpus records");
+  List.iter
+    (fun (r : Dt_report.Record.t) ->
+      let v = r.verdicts and j = Dt_report.Record.to_json r in
+      Alcotest.(check (option string)) (r.label ^ ": schema")
+        (Some Dt_report.Record.schema_version)
+        (Option.bind (Dt_obs.Json.member "schema" j) Dt_obs.Json.to_str);
+      Alcotest.(check int) (r.label ^ ": fingerprint length") 32
+        (String.length r.fingerprint);
+      Alcotest.(check bool) (r.label ^ ": pairs tested") true (v.pairs > 0);
+      Alcotest.(check int) (r.label ^ ": pairs partitioned") v.pairs
+        (v.independent + v.dependent);
+      Alcotest.(check bool) (r.label ^ ": per-kind rows") true (v.by_kind <> []);
+      Alcotest.(check bool) (r.label ^ ": wall clock and metrics") true
+        (Dt_obs.Json.member "wall_ns" j <> None
+        && r.metrics <> Dt_obs.Json.Null))
+    corpus;
+  (* left beside the baseline in the build tree, to be copied over it
+     when a verdict change is intended *)
+  Dt_report.Ledger.save ~path:"ledger_current.jsonl" corpus;
+  let baseline =
+    match Dt_report.Ledger.load ~path:"ledger_baseline.jsonl" () with
+    | Ok (records, 0) when records <> [] -> records
+    | Ok (_, bad) ->
+        Alcotest.failf
+          "ledger_baseline.jsonl is missing, empty or has %d bad lines" bad
+    | Error e -> Alcotest.fail e
+  in
+  let report =
+    Dt_report.Drift.detect ~check_latency:false ~baseline ~current:corpus ()
+  in
+  Alcotest.(check (list string)) "corpus: every run has a baseline" []
+    report.Dt_report.Drift.unmatched;
+  List.iter
+    (fun (g : Dt_report.Drift.group) ->
+      Alcotest.(check (list string))
+        (g.label ^ ": verdicts match the baseline")
+        []
+        (List.map (fun (r : Dt_report.Drift.counter_row) -> r.metric) g.counters))
+    report.Dt_report.Drift.groups
 
 let qtest_drift_never_on_repeat =
   (* property at corpus scale: for arbitrary generated programs, two

@@ -39,8 +39,8 @@ let src =
   \   20 CONTINUE\n\
   \      END\n"
 
-let in_process_output () =
-  let progs = Dt_frontend.Lower.parse_unit src in
+let in_process_output ?(source = src) () =
+  let progs = Dt_frontend.Lower.parse_unit source in
   let cfg = Deptest.Analyze.Config.make () in
   let results = Deptest.Analyze.run_all cfg progs in
   fst (Dt_serve.Render.unit_ progs results)
@@ -605,7 +605,8 @@ let test_server_sheds_structured () =
         Frame.write fd (Json.to_string (Protocol.request_to_json (analyze ())))
       done)
     conns;
-  let served = ref 0 and shed = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  let shed = ref 0 and admitted_ms = ref [] in
   List.iter
     (fun fd ->
       for _ = 1 to per_conn do
@@ -618,20 +619,71 @@ let test_server_sheds_structured () =
                 incr shed;
                 check bool "shed carries a positive hint" true (ms >= 1)
             | None ->
-                incr served;
+                let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+                admitted_ms := ms :: !admitted_ms;
                 check string "admitted answer is byte-identical" baseline
                   (output_of resp))
       done;
       Unix.close fd)
     conns;
-  check int "every request was answered" (4 * per_conn) (!served + !shed);
-  check bool "at least one request was admitted" true (!served >= 1);
+  let served = List.length !admitted_ms in
+  check int "every request was answered" (4 * per_conn) (served + !shed);
+  check bool "at least one request was admitted" true (served >= 1);
+  check bool "at least one request was shed" true (!shed >= 1);
+  (* nearest-rank p99 of the admitted requests' time to answer *)
+  let p99 =
+    List.nth
+      (List.sort compare !admitted_ms)
+      (int_of_float (ceil (0.99 *. float_of_int served)) - 1)
+  in
+  check bool (Printf.sprintf "admitted p99 %.1f ms < 10 s" p99) true
+    (p99 < 10_000.);
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX sock);
   let health = request_over fd Protocol.Health in
   check int "health agrees on the shed count" !shed
     (saturation_field health "shed");
-  Unix.close fd
+  Unix.close fd;
+  (* retrying clients converge over the same starved daemon: 4 clients
+     x 6 distinct sources, so every admitted request does cold work and
+     sheds recur; each client retries with its own jitter seed *)
+  let source i =
+    Printf.sprintf
+      "      PROGRAM R%04d\n\
+      \      DO 20 I = 2, %d\n\
+      \        DO 10 J = 2, %d\n\
+      \          A(I,J) = A(I-1,J) + A(I,J-1)\n\
+      \   10   CONTINUE\n\
+      \   20 CONTINUE\n\
+      \      END\n"
+      i (40 + i) (50 + i)
+  in
+  let clients =
+    List.init 4 (fun w ->
+        Domain.spawn (fun () ->
+            let retry =
+              { Client.Retry.attempts = 30; base_ms = 1; cap_ms = 50;
+                seed = Int64.of_int (w + 1); retry_truncated = true }
+            in
+            List.init 6 (fun k ->
+                let source = source ((w * 6) + k) in
+                ( source,
+                  Client.call ~retry ~socket:sock
+                    (Protocol.Analyze
+                       { source; id = None; trace_id = None; deadline_ms = None })
+                ))))
+  in
+  List.iter
+    (fun (source, answer) ->
+      match answer with
+      | Ok resp ->
+          check string "retried answer is byte-identical"
+            (in_process_output ~source ()) (output_of resp)
+      | Error f ->
+          Alcotest.fail
+            ("a retrying client did not converge: "
+            ^ Client.failure_message ~socket:sock f))
+    (List.concat_map Domain.join clients)
 
 let suite =
   [

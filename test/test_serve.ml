@@ -423,6 +423,11 @@ let test_store_corpus_cross_run () =
   let cold = run e in
   let s = Option.get (Dt_serve.Engine.store e) in
   check int "corpus units" 87 (List.length cold);
+  (* the corpus answers' digest, recorded by the serve bench before this
+     check moved here: any change to a corpus verdict or to rendering
+     moves it *)
+  check string "corpus answers digest" "b4c35e5b36a48b13f511cebc1ee49251"
+    (Digest.to_hex (Digest.string (String.concat "\x00" cold)));
   check int "cold run: disk hits" 0 (Store.hits s);
   check int "cold run: disk misses" 328 (Store.misses s);
   check int "cold run: entries" 328 (Store.length s);

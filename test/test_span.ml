@@ -193,8 +193,22 @@ let test_off_path_allocates_nothing () =
 
 (* --- exporters ---------------------------------------------------------- *)
 
-let test_chrome_export () =
-  let _, spans = profiled_spans 2 in
+(* one profiled whole-corpus pass through the parallel engine (2 workers,
+   cache off), so the exports cover many routines over several domains *)
+let corpus_spans =
+  lazy
+    (let p = Span.profiler ~gc:true () in
+     let cfg = Deptest.Analyze.Config.make ~jobs:2 ~cache:false ~profiler:p () in
+     List.iter
+       (fun e ->
+         List.iter
+           (fun prog -> ignore (Deptest.Analyze.run cfg prog))
+           (Dt_workloads.Corpus.programs e))
+       Dt_workloads.Corpus.all;
+     Span.spans p)
+
+let check_chrome_export (what, spans) =
+  let check c name = check c (what ^ ": " ^ name) in
   let j = Timeline.to_chrome spans in
   (* the export must be valid JSON (round-trips through our parser) *)
   (match Dt_obs.Json.of_string (Dt_obs.Json.to_string j) with
@@ -230,6 +244,13 @@ let test_chrome_export () =
         | _ -> Alcotest.fail "X event without ts"
       in
       check bool "ts non-negative" true (ts >= 0.0);
+      check bool "dur non-negative" true
+        (match Dt_obs.Json.member "dur" e with
+        | Some (Dt_obs.Json.Float f) -> f >= 0.0
+        | Some (Dt_obs.Json.Int i) -> i >= 0
+        | _ -> false);
+      check (Alcotest.option string) "category" (Some "deptest")
+        (Option.bind (Dt_obs.Json.member "cat" e) Dt_obs.Json.to_str);
       (match Hashtbl.find_opt last tid with
       | Some prev -> check bool "ts monotone per tid" true (ts >= prev)
       | None -> ());
@@ -251,8 +272,12 @@ let test_chrome_export () =
   check int "one thread row per domain" (List.length domains)
     (List.length metas)
 
-let test_folded_export_roundtrip () =
-  let _, spans = profiled_spans 1 in
+let test_chrome_export () =
+  List.iter check_chrome_export
+    [ ("wavefront", snd (profiled_spans 2)); ("corpus", Lazy.force corpus_spans) ]
+
+let check_folded_export (what, spans) =
+  let check c name = check c (what ^ ": " ^ name) in
   let folded = Timeline.to_folded spans in
   check bool "nonempty" true (String.length folded > 0);
   (* every line is "stack count" with a positive count; total self time
@@ -276,6 +301,10 @@ let test_folded_export_roundtrip () =
       0L spans
   in
   check bool "self times sum to the root durations" true (!total = root_ns)
+
+let test_folded_export_roundtrip () =
+  List.iter check_folded_export
+    [ ("wavefront", snd (profiled_spans 1)); ("corpus", Lazy.force corpus_spans) ]
 
 (* --- trace timestamps (deptest-trace/2) --------------------------------- *)
 
