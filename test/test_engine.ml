@@ -628,9 +628,8 @@ let synthetic_nest s =
 (* the wavefront nest, the whole corpus and the 64-statement synthetic
    nest, one configuration per setting over each whole input, so a
    cache-on setting shares its memo across the corpus routines. The
-   larger inputs run fewer settings: each corpus routine at jobs > 1
-   starts its own workers, and the synthetic nest costs ~50 ms a
-   setting. *)
+   synthetic nest, at ~50 ms a setting, runs the two cache-off settings
+   with more than one worker. *)
 let test_analyze_jobs_parity () =
   let render cfg progs = String.concat "" (List.map (render_result cfg) progs) in
   List.iter
@@ -652,8 +651,8 @@ let test_analyze_jobs_parity () =
         [ (2, false); (4, false); (1, true); (4, true); (0, true) ] );
       ( "corpus",
         List.concat (corpus_units ()),
-        [ (2, false); (1, true) ] );
-      ("synthetic-64", [ synthetic_nest 64 ], [ (2, false) ]);
+        [ (2, false); (4, false); (1, true); (2, true); (4, true) ] );
+      ("synthetic-64", [ synthetic_nest 64 ], [ (2, false); (4, false) ]);
     ]
 
 let test_analyze_cache_hits () =
@@ -717,8 +716,7 @@ let test_run_all_matches_run () =
    - 4 statements per routine, named, rendering each name, its deps and
      its counters: the corpus bench/main.ml's jobs gate times. Its
      golden is the digest the bench recorded at jobs 1 and checked at
-     jobs 2 and 4 before this check moved here; jobs 2 is the setting
-     pinned (jobs 1 and 4 are the 3-statement input's). *)
+     jobs 2 and 4 before this check moved here; all three are pinned. *)
 let thousand_routines ~stmts =
   let routines = 1000 in
   let st = Random.State.make [| 0xD09; routines |] in
@@ -769,22 +767,28 @@ let test_corpus_jobs_parity () =
         check int "jobs=1 memo hits" 191 (Option.fold ~none:(-1) ~some:fst stats))
     [ (1, false); (2, false); (4, false); (1, true); (2, true); (4, true) ];
   let progs4 = thousand_routines ~stmts:4 in
-  let buf = Buffer.create (1 lsl 16) in
-  List.iter2
-    (fun (p : Nest.program) (r : Deptest.Analyze.result) ->
-      Buffer.add_string buf (p.Nest.name ^ "\n");
-      List.iter
-        (fun d -> Buffer.add_string buf (Format.asprintf "%a@." Deptest.Dep.pp d))
-        r.Deptest.Analyze.deps;
-      Buffer.add_string buf
-        (Format.asprintf "%a@." Deptest.Counters.pp r.Deptest.Analyze.counters))
-    progs4
-    (Deptest.Analyze.run_all
-       (Deptest.Analyze.Config.make ~jobs:2 ~cache:false ())
-       progs4);
-  check string "4 statements, jobs=2: renders the golden bytes"
-    "21309830e26d29150dea20f308a3dbcd"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  List.iter
+    (fun jobs ->
+      let buf = Buffer.create (1 lsl 16) in
+      List.iter2
+        (fun (p : Nest.program) (r : Deptest.Analyze.result) ->
+          Buffer.add_string buf (p.Nest.name ^ "\n");
+          List.iter
+            (fun d ->
+              Buffer.add_string buf (Format.asprintf "%a@." Deptest.Dep.pp d))
+            r.Deptest.Analyze.deps;
+          Buffer.add_string buf
+            (Format.asprintf "%a@." Deptest.Counters.pp
+               r.Deptest.Analyze.counters))
+        progs4
+        (Deptest.Analyze.run_all
+           (Deptest.Analyze.Config.make ~jobs ~cache:false ())
+           progs4);
+      check string
+        (Printf.sprintf "4 statements, jobs=%d: renders the golden bytes" jobs)
+        "21309830e26d29150dea20f308a3dbcd"
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [ 1; 2; 4 ]
 
 (* cache reuse over whole workloads through one cache-on configuration
    at jobs 1: the hit and miss counts are exact, so a key that splits or

@@ -308,15 +308,15 @@ let test_drift_identical_runs () =
         (Dt_obs.Json.member "wall_ns" j <> None
         && r.metrics <> Dt_obs.Json.Null))
     corpus;
-  (* left beside the baseline in the build tree, to be copied over it
-     when a verdict change is intended *)
+  (* left in the build tree, to be copied over the baseline when a
+     verdict change is intended *)
   Dt_report.Ledger.save ~path:"ledger_current.jsonl" corpus;
   let baseline =
-    match Dt_report.Ledger.load ~path:"ledger_baseline.jsonl" () with
+    match Dt_report.Ledger.load ~path:"../bench/ledger_baseline.jsonl" () with
     | Ok (records, 0) when records <> [] -> records
     | Ok (_, bad) ->
         Alcotest.failf
-          "ledger_baseline.jsonl is missing, empty or has %d bad lines" bad
+          "bench/ledger_baseline.jsonl is missing, empty or has %d bad lines" bad
     | Error e -> Alcotest.fail e
   in
   let report =
