@@ -813,11 +813,12 @@ let report_diff_cmd =
 
 let report_drift_cmd =
   let run path baseline_path window threshold min_ns no_latency =
+    (* a gate with nothing to compare must not pass: a missing baseline
+       is a load error, and a ledger none of whose runs has a baseline
+       of its fingerprint fails like drift *)
     if not (Sys.file_exists baseline_path) then begin
-      (* a repo without a committed baseline must pass CI: skip, don't fail *)
-      Printf.printf "no baseline ledger at %s; skipping drift check\n"
-        baseline_path;
-      exit 0
+      Printf.eprintf "no baseline ledger at %s\n" baseline_path;
+      exit 2
     end;
     let baseline = load_ledger baseline_path in
     let current = load_ledger path in
@@ -826,7 +827,11 @@ let report_drift_cmd =
         ~min_ns ~check_latency:(not no_latency) ~baseline ~current ()
     in
     Format.printf "%a@." Dt_report.Drift.pp report;
-    if Dt_report.Drift.has_drift report then exit 1
+    if Dt_report.Drift.has_drift report then exit 1;
+    if report.Dt_report.Drift.groups = [] then begin
+      Printf.eprintf "no run has a baseline of its fingerprint: nothing compared\n";
+      exit 1
+    end
   in
   let baseline_arg =
     Arg.(
@@ -834,8 +839,7 @@ let report_drift_cmd =
       & opt string "bench/ledger_baseline.jsonl"
       & info [ "baseline" ] ~docv:"PATH"
           ~doc:
-            "Baseline ledger to drift against; when the file does not \
-             exist the check is skipped with exit 0.")
+            "Baseline ledger to drift against; a missing file exits 2.")
   in
   let window_arg =
     Arg.(
@@ -849,7 +853,8 @@ let report_drift_cmd =
     (Cmd.info "drift"
        ~doc:
          "Compare the newest run of each configuration against a baseline \
-          ledger; exit 1 on verdict or latency drift (the CI gate)")
+          ledger; exit 1 on verdict or latency drift, or when no run has a \
+          baseline (the CI gate)")
     Term.(
       const run $ ledger_path_arg $ baseline_arg $ window_arg
       $ drift_threshold_arg $ drift_min_ns_arg $ no_latency_arg)

@@ -115,6 +115,42 @@ let decompose (v : Dirvec.t) =
   go 0;
   List.rev !out
 
+type component = int option * Dirvec.t * [ `Forward | `Backward ]
+
+(* the order [Stdlib.compare] gives the triples, without its generic
+   traversal: level [None] first, then by level; shorter vectors first,
+   then position by position, a set ranked by its [(lt, eq, gt)] flags
+   read as a binary number; [`Backward] before [`Forward] (the order of
+   their variant hashes). The order is load-bearing: it fixes the
+   dependence order every answer prints. *)
+let set_rank (s : Direction.set) =
+  (if s.lt then 4 else 0) + (if s.eq then 2 else 0) + if s.gt then 1 else 0
+
+let compare_vec (a : Dirvec.t) (b : Dirvec.t) =
+  let n = Array.length a in
+  if n <> Array.length b then Int.compare n (Array.length b)
+  else
+    let rec go k =
+      if k = n then 0
+      else
+        let c = Int.compare (set_rank a.(k)) (set_rank b.(k)) in
+        if c <> 0 then c else go (k + 1)
+    in
+    go 0
+
+let orient_rank = function `Backward -> 0 | `Forward -> 1
+
+let compare_component ((l1, v1, o1) : component) ((l2, v2, o2) : component) =
+  let c = Option.compare Int.compare l1 l2 in
+  if c <> 0 then c
+  else
+    let c = compare_vec v1 v2 in
+    if c <> 0 then c else Int.compare (orient_rank o1) (orient_rank o2)
+
+let components dirvecs =
+  Dt_support.Listx.dedup ~compare:compare_component
+    (List.concat_map decompose dirvecs)
+
 let kind_of src_kind snk_kind =
   match (src_kind, snk_kind) with
   | `Write, `Read -> Dep.Flow
@@ -181,12 +217,15 @@ type worker = {
 }
 
 (* minimum number of reference pairs before [run] fans out to worker
-   domains; below this the spawn cost exceeds the testing work *)
+   domains; below this the spawn cost exceeds the testing work. A
+   domain's spawn and join cost ~0.1 ms when it runs nothing, and a
+   domain that allocates also faults in its own minor heap: ~0.5 ms of
+   system time for 120k words (2-vCPU box) *)
 let min_parallel_sites = 256
 
 (* minimum number of routines before [run_all] shards the batch across
-   domains in auto mode — a Domain spawn costs about as much as testing
-   a small routine *)
+   domains in auto mode — the spawned domain's cost above is about that
+   of testing a small routine *)
 let min_parallel_routines = 8
 
 let deadline_of deadline_ms =
@@ -520,10 +559,6 @@ let orient ?buf (sites : site array) (results : Pair_test.t option array) =
               let same_access = site.same_ref in
               let id1 = a1.Stmt.stmt.Stmt.id
               and id2 = a2.Stmt.stmt.Stmt.id in
-              let parts =
-                Dt_support.Listx.dedup ~compare:Stdlib.compare
-                  (List.concat_map decompose dirvecs)
-              in
               List.iter
                 (fun (level, v, orient) ->
                   match (level, orient) with
@@ -560,7 +595,7 @@ let orient ?buf (sites : site array) (results : Pair_test.t option array) =
                         ~dirvec:(Dirvec.negate v) ~level:(Some k)
                         ~distances:(List.map (fun (ix, d) -> (ix, neg_dist d)) distances)
                   | None, `Backward -> assert false)
-                parts)
+                (components dirvecs))
         sites);
   { deps = List.rev !deps; pairs = List.rev !pairs; counters = Counters.create () }
 
@@ -581,10 +616,11 @@ let run (cfg : Config.t) prog =
   let n = Array.length sites in
   (* a trace is an ordered narrative: a sink forces the sequential path.
      In auto mode (jobs = 0) the engine also stays sequential below the
-     grain threshold: a Domain spawn+join costs ~1ms while a typical
-     reference pair tests in ~10us, so small nests lose badly from
-     fanning out. An explicit jobs count is honored literally (tests
-     rely on that to drive the multi-domain path on small programs).
+     grain threshold: a spawned domain costs ~0.1–0.6 ms (see
+     [min_parallel_sites]) while a typical reference pair tests in
+     ~10us, so small nests lose from fanning out. An explicit jobs
+     count is honored literally (tests rely on that to drive the
+     multi-domain path on small programs).
      The result is identical either way — only the wall clock changes. *)
   let jobs =
     if sink <> None then 1

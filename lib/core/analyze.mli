@@ -43,8 +43,10 @@ module Config : sig
     t
   (** Defaults: [Partition_based], no input dependences, empty assume,
       [jobs = 0] (auto: one worker per recommended domain, but small
-      nests — fewer than ~256 reference pairs, where a Domain spawn
-      would cost more than the testing work — run sequentially),
+      nests — fewer than ~256 reference pairs, where a spawned domain
+      (~0.1 ms to spawn and join, ~0.5 ms more once it allocates and
+      faults in its minor heap) would cost more than the testing work —
+      run sequentially),
       [grain = 0] (auto leaf size for the pool's lazy binary split),
       cache on and unbounded ([cache_capacity] bounds its resident
       entries with FIFO eviction), no metrics, no sink, no profiler, no
@@ -159,9 +161,22 @@ val run_all : Config.t -> Nest.program list -> result list
     two routines, [jobs = 1], a trace sink, or auto mode on a small
     batch. *)
 
-val decompose :
-  Dirvec.t -> (int option * Dirvec.t * [ `Forward | `Backward ]) list
+type component = int option * Dirvec.t * [ `Forward | `Backward ]
+
+val decompose : Dirvec.t -> component list
 (** Split a (possibly starred) direction vector into its carried components:
     [(Some k, v, `Forward)] is the part carried forward at level k;
     backward parts denote reversed dependences (vector NOT yet negated);
     [(None, v, `Forward)] is the loop-independent (all '=') part. *)
+
+val compare_component : component -> component -> int
+(** The order [Stdlib.compare] gives components, computed without the
+    polymorphic traversal: by level ([None] first), then by vector
+    (shorter first, then position by position, a set ranked by its
+    [(lt, eq, gt)] flags read as a binary number), then [`Backward]
+    before [`Forward]. *)
+
+val components : Dirvec.t list -> component list
+(** Every component of a pair's direction vectors, sorted by
+    {!compare_component} with duplicates removed: the orientation pass
+    emits a pair's dependences in this order. *)

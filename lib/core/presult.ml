@@ -37,13 +37,15 @@ let to_dirvecs ~loop_indices t =
       in
       if Array.exists Direction.is_empty v then [] else [ v ]
   | Vectors (indices, vecs) ->
+      (* each vector position's loop position, resolved once *)
+      let pos = Array.of_list (List.map (pos_of loop_indices) indices) in
       List.filter_map
         (fun vec ->
           let v = Dirvec.full n in
           let ok = ref true in
           List.iteri
             (fun j d ->
-              match pos_of loop_indices (List.nth indices j) with
+              match pos.(j) with
               | Some k ->
                   let s = Direction.inter v.(k) (Direction.single d) in
                   if Direction.is_empty s then ok := false else v.(k) <- s

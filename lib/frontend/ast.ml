@@ -27,22 +27,39 @@ type program = { name : string; body : stmt list; lines : int }
 
 let binop_str = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
 
-let rec pp_expr ppf = function
-  | Int n -> Format.pp_print_int ppf n
-  | Var v -> Format.pp_print_string ppf v
-  | Neg e -> Format.fprintf ppf "-%a" pp_atom e
+(* source text of an expression: binary operands that are themselves
+   binary are parenthesised, arguments are comma-separated *)
+let rec expr_to_buffer buf = function
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Var v -> Buffer.add_string buf v
+  | Neg e ->
+      Buffer.add_char buf '-';
+      atom_to_buffer buf e
   | Bin (op, a, b) ->
-      Format.fprintf ppf "%a %s %a" pp_atom a (binop_str op) pp_atom b
+      atom_to_buffer buf a;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (binop_str op);
+      Buffer.add_char buf ' ';
+      atom_to_buffer buf b
   | Ref (f, args) ->
-      Format.fprintf ppf "%s(%a)" f
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-           pp_expr)
-        args
+      Buffer.add_string buf f;
+      Buffer.add_char buf '(';
+      List.iteri
+        (fun k a ->
+          if k > 0 then Buffer.add_char buf ',';
+          expr_to_buffer buf a)
+        args;
+      Buffer.add_char buf ')'
 
-and pp_atom ppf e =
+and atom_to_buffer buf e =
   match e with
-  | Bin _ -> Format.fprintf ppf "(%a)" pp_expr e
-  | _ -> pp_expr ppf e
+  | Bin _ ->
+      Buffer.add_char buf '(';
+      expr_to_buffer buf e;
+      Buffer.add_char buf ')'
+  | _ -> expr_to_buffer buf e
 
-let expr_to_string e = Format.asprintf "%a" pp_expr e
+let expr_to_string e =
+  let buf = Buffer.create 32 in
+  expr_to_buffer buf e;
+  Buffer.contents buf

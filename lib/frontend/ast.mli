@@ -28,5 +28,9 @@ and lvalue = { base : string; args : expr list }
 
 type program = { name : string; body : stmt list; lines : int }
 
-val pp_expr : Format.formatter -> expr -> unit
+val expr_to_buffer : Buffer.t -> expr -> unit
+(** Append an expression's source text: binary operands that are
+    themselves binary are parenthesised, call arguments are separated by
+    [","] with no space, e.g. ["A(I + 1,(J - 1) * 2)"]. *)
+
 val expr_to_string : expr -> string

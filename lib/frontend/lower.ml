@@ -110,6 +110,8 @@ let program (prog : Ast.program) =
     { scope = []; written = written_scalars prog; used = []; fresh_syms = 0 }
   in
   let next_id = ref 0 in
+  (* one buffer for every statement's source text *)
+  let text_buf = Buffer.create 128 in
   let rec stmt env depth (s : Ast.stmt) : Nest.node list =
     match s with
     | Ast.Continue _ -> []
@@ -125,16 +127,13 @@ let program (prog : Ast.program) =
         let all_reads = reads env rhs [] @ sub_reads in
         let id = !next_id in
         incr next_id;
-        let text =
-          Format.asprintf "%a = %a" Ast.pp_expr
-            (Ast.Ref (lhs.Ast.base, lhs.Ast.args))
-            Ast.pp_expr rhs
-        in
-        let text =
-          if lhs.Ast.args = [] then
-            Format.asprintf "%s = %a" lhs.Ast.base Ast.pp_expr rhs
-          else text
-        in
+        Buffer.clear text_buf;
+        (match lhs.Ast.args with
+        | [] -> Buffer.add_string text_buf lhs.Ast.base
+        | args -> Ast.expr_to_buffer text_buf (Ast.Ref (lhs.Ast.base, args)));
+        Buffer.add_string text_buf " = ";
+        Ast.expr_to_buffer text_buf rhs;
+        let text = Buffer.contents text_buf in
         [ Nest.Stmt (Stmt.make ~id ~writes ~reads:all_reads ~text ()) ]
     | Ast.Do { var; lo; hi; step; body; line; _ } ->
         let step_val =

@@ -105,6 +105,8 @@ let run pool ~n ~state ~body =
         if len > 0 then Deque.push deques.(w) (!lo, !lo + len);
         lo := !lo + len
       done;
+      (* indices not yet claimed by a leaf: zero means nothing is left
+         to steal, though claimed leaves may still be running *)
       let remaining = Atomic.make n in
       let abort = Atomic.make false in
       (* one slot per worker: the first exception it hit, if any *)
@@ -134,21 +136,25 @@ let run pool ~n ~state ~body =
                      exec (rlo, mid)
                    end
                    else begin
+                     (* the leaf is claimed before it runs: once every
+                        index is claimed an idle worker has nothing left
+                        to steal and leaves instead of spinning *)
+                     ignore (Atomic.fetch_and_add remaining (-len));
                      probe.task_start w;
                      for i = rlo to rhi - 1 do
                        run_body st i
                      done;
-                     probe.task_stop w;
-                     ignore (Atomic.fetch_and_add remaining (-len))
+                     probe.task_stop w
                    end
                  end
                in
                (* acquire: own deque first (LIFO), then steal round-robin
                   from the next worker up (FIFO — the victim's largest
-                  range). When every queue looks empty but indices are
-                  still in flight on other workers, back off with
-                  exponentially longer cpu_relax spins; a CAS race seen
-                  en route means real contention, so retry eagerly. *)
+                  range). When every queue looks empty but some indices
+                  are not yet claimed — a range another worker is still
+                  splitting — back off with exponentially longer
+                  cpu_relax spins; a CAS race seen en route means real
+                  contention, so retry eagerly. *)
                let rec acquire spins =
                  match Deque.pop dq with
                  | Some r -> Some r
@@ -197,6 +203,8 @@ let run pool ~n ~state ~body =
         List.init (workers - 1) (fun w ->
             Domain.spawn (fun () -> run_worker (w + 1)))
       in
+      (* worker 0 leaves its loop once every index is claimed and waits
+         for the peers still running their last leaves in [Domain.join] *)
       let st0 = run_worker 0 in
       let states = st0 :: List.map Domain.join domains in
       (* strict-mode abort abandons in-flight ranges: drain the deques so

@@ -11,8 +11,11 @@
     continues on the lower half. An idle worker steals FIFO from a
     victim's top — always the largest outstanding range there, so one
     steal transfers roughly half the victim's remaining work — and
-    backs off with exponential [Domain.cpu_relax] spins while all work
-    is in flight elsewhere.
+    backs off with exponential [Domain.cpu_relax] spins while a range
+    is still being split elsewhere. A leaf counts as taken when a worker
+    claims it, not when it finishes: once every index is claimed there
+    is nothing left to steal, so an idle worker leaves its loop at
+    once.
 
     Determinism contract (unchanged from the chunked predecessor): which
     worker processes which index is scheduling-dependent, but every
@@ -22,9 +25,10 @@
     edge). Any result that depends only on the index — never on the
     executing worker — is therefore identical to a sequential run.
 
-    Worker domains are spawned per {!run} and joined before it returns;
-    the handle owns no threads between runs and must not be shared by
-    two concurrent runs. *)
+    Worker domains are spawned per {!run} and joined before it returns
+    (the calling domain, worker 0, waits for the last leaves in
+    [Domain.join], not in a spin); the handle owns no threads between
+    runs and must not be shared by two concurrent runs. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
@@ -33,8 +37,9 @@ val clamp_auto : int -> int
 (** Resolve a jobs request against the machine: [0] (auto) and anything
     above {!recommended_jobs} clamp to {!recommended_jobs}; an explicit
     [1 <= jobs <= recommended] is kept. Oversubscribing domains is never
-    profitable — on a 1-core box [--jobs 2] measured 2.4x slower than
-    [--jobs 1] — so auto selection must never exceed the core count. *)
+    profitable — on a 2-core box, 64 miv-batch units through
+    [Analyze.run_all] took 1.9–2.1x as long at jobs 4 as at jobs 2 —
+    so auto selection must never exceed the core count. *)
 
 type probe = {
   worker_start : int -> unit;  (** worker [w] begins its loop *)

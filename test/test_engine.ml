@@ -65,6 +65,42 @@ let test_pool_empty () =
           ~state:(fun w -> w)
           ~body:(fun _ _ -> ())))
 
+(* an idle worker leaves as soon as every index is claimed, while a peer
+   still runs its last leaf: with two workers seeded with one index each,
+   index 0's body waits (5 s at most) for the other worker's
+   [worker_stop]. A pool that waits for every leaf to finish before
+   letting a worker go never fires it. The peer is whichever worker did
+   not run index 0, should one have stolen the other's index. *)
+let test_pool_idle_worker_leaves_early () =
+  let stopped = Array.init 2 (fun _ -> Atomic.make false) in
+  let probe =
+    { Dt_support.Pool.no_probe with
+      Dt_support.Pool.worker_stop = (fun w -> Atomic.set stopped.(w) true) }
+  in
+  let pool =
+    Dt_support.Pool.create ~jobs:2 ~hooks:(Dt_support.Pool.hooks ~probe ()) ()
+  in
+  let left_early = Atomic.make false in
+  let deadline = Int64.add (Dt_obs.Clock.now_ns ()) 5_000_000_000L in
+  let states =
+    Dt_support.Pool.run pool ~n:2
+      ~state:(fun w -> w)
+      ~body:(fun w i ->
+        if i = 0 then begin
+          let peer = stopped.(1 - w) in
+          while
+            (not (Atomic.get peer))
+            && Int64.compare (Dt_obs.Clock.now_ns ()) deadline < 0
+          do
+            Domain.cpu_relax ()
+          done;
+          Atomic.set left_early (Atomic.get peer)
+        end)
+  in
+  check (Alcotest.list int) "two workers ran" [ 0; 1 ] states;
+  check bool "the idle worker stopped while index 0 still ran" true
+    (Atomic.get left_early)
+
 (* --- Deque ------------------------------------------------------------- *)
 
 let test_deque_owner_lifo () =
@@ -228,8 +264,8 @@ module Generator = Dt_workloads.Generator
 (* Unit [i] of the miv-batch stream of the end-to-end benchmark
    (bench/e2e/units.ml, [fresh]): eight routines of deep, triangular,
    coupled subscripts, odd units with a symbolic outer bound, routine [r]
-   of nest depth [1 + r mod 4] *)
-let miv_unit ~seed i =
+   of nest depth [1 + r mod 4]; [miv_source] is its text *)
+let miv_source ~seed i =
   let st = Random.State.make [| seed; 6; i |] in
   let cfg =
     { Generator.default with
@@ -246,7 +282,9 @@ let miv_unit ~seed i =
     Dt_frontend.Emit.program
       { (draw ()) with Nest.name = Printf.sprintf "U%dR%d" i r }
   in
-  Dt_frontend.Lower.parse_unit (String.concat "" (List.init 8 routine))
+  String.concat "" (List.init 8 routine)
+
+let miv_unit ~seed i = Dt_frontend.Lower.parse_unit (miv_source ~seed i)
 
 let corpus_units () =
   List.map Dt_workloads.Corpus.programs Dt_workloads.Corpus.all
@@ -443,6 +481,218 @@ let test_key_sweep_matches_reference () =
       check bool "classes are shared, not all singletons" true
         (classes < List.length keyed)
   | None -> Alcotest.fail "a new key splits or merges a reference class"
+
+(* --- Per-unit bookkeeping: parity with the references ------------------ *)
+
+(* the corpus sources and the 64 miv units' *)
+let sweep_sources () =
+  List.map (fun (e : Dt_workloads.Corpus.entry) -> e.Dt_workloads.Corpus.source)
+    Dt_workloads.Corpus.all
+  @ List.init 64 (fun i -> miv_source ~seed:1 i)
+
+let sweep_sites () =
+  List.concat_map
+    (fun src ->
+      List.concat_map
+        (fun prog -> Array.to_list (Deptest.Analyze.sites prog))
+        (Dt_frontend.Lower.parse_unit src))
+    (sweep_sources ())
+
+(* a sweep's disagreements, [(reference, new)], the first few kept *)
+let disagreements () =
+  let found = ref [] in
+  let note want got =
+    if want <> got && List.length !found < 5 then found := (want, got) :: !found
+  in
+  (note, fun () -> List.rev !found)
+
+let no_disagreement what found =
+  check (Alcotest.list (Alcotest.pair string string)) what [] found
+
+(* every statement's text and every subexpression's, as [Lower] and
+   [Ast.expr_to_string] write them, equals the [Format] text *)
+let test_text_matches_reference () =
+  let exprs = ref 0 and stmts = ref 0 in
+  let note, found = disagreements () in
+  let rec expr e =
+    incr exprs;
+    note (Text_reference.expr_to_string e) (Dt_frontend.Ast.expr_to_string e);
+    match e with
+    | Dt_frontend.Ast.Int _ | Dt_frontend.Ast.Var _ -> ()
+    | Dt_frontend.Ast.Neg e -> expr e
+    | Dt_frontend.Ast.Bin (_, a, b) -> expr a; expr b
+    | Dt_frontend.Ast.Ref (_, args) -> List.iter expr args
+  in
+  let rec texts acc = function
+    | Dt_frontend.Ast.Assign { lhs; rhs; _ } ->
+        List.iter expr lhs.Dt_frontend.Ast.args;
+        expr rhs;
+        Text_reference.stmt_text lhs rhs :: acc
+    | Dt_frontend.Ast.Do { lo; hi; step; body; _ } ->
+        expr lo;
+        expr hi;
+        Option.iter expr step;
+        List.fold_left texts acc body
+    | Dt_frontend.Ast.Continue _ -> acc
+  in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun (ast : Dt_frontend.Ast.program) ->
+          let want = List.rev (List.fold_left texts [] ast.Dt_frontend.Ast.body) in
+          let got =
+            List.map
+              (fun ((s : Stmt.t), _) -> s.Stmt.text)
+              (Nest.stmts_with_loops (Dt_frontend.Lower.program ast))
+          in
+          stmts := !stmts + List.length want;
+          note (String.concat "\n" want) (String.concat "\n" got))
+        (Dt_frontend.Parser.parse_unit src))
+    (sweep_sources ());
+  no_disagreement "expression and statement texts" (found ());
+  check bool "the sweep is not trivial" true (!stmts > 2_000 && !exprs > 20_000)
+
+let component_to_string ((level, v, o) : Deptest.Analyze.component) =
+  Printf.sprintf "%s%s%s"
+    (match level with None -> "-" | Some k -> string_of_int k)
+    (Deptest.Dirvec.to_string v)
+    (match o with `Forward -> "f" | `Backward -> "b")
+
+(* every tested pair's components come out in the reference order *)
+let test_components_match_reference () =
+  let multi = ref 0 in
+  let note, found = disagreements () in
+  List.iter
+    (fun (site : Deptest.Analyze.site) ->
+      let (a1 : Stmt.access), loops1 = site.Deptest.Analyze.left
+      and (a2 : Stmt.access), loops2 = site.Deptest.Analyze.right in
+      match
+        (Deptest.Pair_test.test ~src:(a1.Stmt.aref, loops1)
+           ~snk:(a2.Stmt.aref, loops2) ())
+          .Deptest.Pair_test.result
+      with
+      | `Independent -> ()
+      | `Dependent { Deptest.Pair_test.dirvecs; _ } ->
+          let want = Orient_reference.components dirvecs in
+          if List.length want > 1 then incr multi;
+          note
+            (String.concat " " (List.map component_to_string want))
+            (String.concat " "
+               (List.map component_to_string
+                  (Deptest.Analyze.components dirvecs))))
+    (sweep_sites ());
+  no_disagreement "components" (found ());
+  check bool "many pairs have several components" true (!multi > 1_000)
+
+(* the partition results of one site, as the partition-based driver
+   computes them: per-subscript results, then each coupled group's *)
+let partition_results (site : Deptest.Analyze.site) =
+  let (a1 : Stmt.access), loops1 = site.Deptest.Analyze.left
+  and (a2 : Stmt.access), loops2 = site.Deptest.Analyze.right in
+  let common = Deptest.Pair_test.common_loops loops1 loops2 in
+  let loop_indices = List.map (fun (l : Loop.t) -> l.Loop.index) common in
+  let all_loops =
+    loops1 @ List.filteri (fun k _ -> k >= List.length common) loops2
+  in
+  let assume = assume_of all_loops and range = range_of all_loops in
+  let relevant =
+    Index.Set.of_list (List.map (fun (l : Loop.t) -> l.Loop.index) all_loops)
+  in
+  let spairs =
+    if List.length a1.Stmt.aref.Aref.subs <> List.length a2.Stmt.aref.Aref.subs
+    then []
+    else
+      List.concat
+        (List.map2
+           (fun s1 s2 ->
+             match (s1, s2) with
+             | Aref.Linear a, Aref.Linear b -> [ Spair.make a b ]
+             | _ -> [])
+           a1.Stmt.aref.Aref.subs a2.Stmt.aref.Aref.subs)
+  in
+  let parts =
+    try
+      let separable =
+        match
+          Deptest.Subscript_wise.test assume range spairs ~common:loop_indices
+        with
+        | `Independent _ -> []
+        | `Dependent ps -> ps
+      in
+      let arr = Array.of_list spairs in
+      let coupled =
+        List.concat_map
+          (fun (g : Deptest.Classify.group) ->
+            if List.length g.Deptest.Classify.positions < 2 then []
+            else
+              match
+                (Deptest.Delta.test ~loops:all_loops assume range
+                   (List.map (fun k -> arr.(k)) g.Deptest.Classify.positions)
+                   ~relevant)
+                  .Deptest.Delta.verdict
+              with
+              | `Independent -> []
+              | `Dependent ps -> ps)
+          (Deptest.Classify.partition ~relevant spairs)
+      in
+      separable @ coupled
+    with Dt_guard.Ops.Overflow -> []
+  in
+  (loop_indices, parts)
+
+let test_to_dirvecs_matches_reference () =
+  let vectors = ref 0 in
+  let note, found = disagreements () in
+  let text vs = String.concat " " (List.map Deptest.Dirvec.to_string vs) in
+  List.iter
+    (fun site ->
+      let loop_indices, parts = partition_results site in
+      List.iter
+        (fun (p : Deptest.Presult.t) ->
+          (match p with Deptest.Presult.Vectors _ -> incr vectors | _ -> ());
+          note
+            (text (Presult_reference.to_dirvecs ~loop_indices p))
+            (text (Deptest.Presult.to_dirvecs ~loop_indices p)))
+        parts)
+    (sweep_sites ());
+  no_disagreement "to_dirvecs" (found ());
+  check bool "many results are joint vectors" true (!vectors > 1_000)
+
+(* the monomorphic comparator orders components as [Stdlib.compare]
+   does: random triples of both orientations, vectors of length 0-4
+   over all 8 direction sets, the second often one field away from the
+   first *)
+let prop_compare_component_is_stdlib =
+  let sets =
+    Array.init 8 (fun r ->
+        { Deptest.Direction.lt = r land 4 <> 0; eq = r land 2 <> 0; gt = r land 1 <> 0 })
+  in
+  qtest ~count:2000 "compare_component == Stdlib.compare"
+    (QCheck.make ~print:string_of_int QCheck.Gen.nat)
+    (fun seed ->
+      let st = Random.State.make [| seed; 0x6f |] in
+      let level () =
+        if Random.State.int st 4 = 0 then None else Some (Random.State.int st 5)
+      in
+      let vec () =
+        Array.init (Random.State.int st 5) (fun _ -> sets.(Random.State.int st 8))
+      in
+      let orient () = if Random.State.bool st then `Forward else `Backward in
+      let a = (level (), vec (), orient ()) in
+      let b =
+        let l, v, o = a in
+        match Random.State.int st 5 with
+        | 0 -> (level (), Array.copy v, o)
+        | 1 when Array.length v > 0 ->
+            let v = Array.copy v in
+            v.(Random.State.int st (Array.length v)) <- sets.(Random.State.int st 8);
+            (l, v, o)
+        | 2 -> (l, Array.copy v, orient ())
+        | _ -> (level (), vec (), orient ())
+      in
+      let sign c = Int.compare c 0 in
+      sign (Deptest.Analyze.compare_component a b) = sign (Stdlib.compare a b)
+      && sign (Deptest.Analyze.compare_component b a) = sign (Stdlib.compare b a))
 
 (* --- Counters/Metrics merge laws --------------------------------------- *)
 
@@ -815,6 +1065,8 @@ let suite =
     Alcotest.test_case "pool sequential fallback" `Quick test_pool_sequential;
     Alcotest.test_case "pool propagates body exceptions" `Quick test_pool_exception;
     Alcotest.test_case "pool empty range" `Quick test_pool_empty;
+    Alcotest.test_case "pool idle worker leaves once all is claimed" `Quick
+      test_pool_idle_worker_leaves_early;
     Alcotest.test_case "deque: owner pops LIFO" `Quick test_deque_owner_lifo;
     Alcotest.test_case "deque: thieves steal FIFO" `Quick test_deque_steal_fifo;
     Alcotest.test_case "deque: ring growth is lossless" `Quick test_deque_grows;
@@ -827,6 +1079,13 @@ let suite =
     prop_key_matches_reference;
     Alcotest.test_case "key: corpus and miv sites match the reference" `Quick
       test_key_sweep_matches_reference;
+    Alcotest.test_case "statement text == Format reference" `Quick
+      test_text_matches_reference;
+    Alcotest.test_case "orient components == Stdlib.compare dedup" `Quick
+      test_components_match_reference;
+    Alcotest.test_case "to_dirvecs == List.nth reference" `Quick
+      test_to_dirvecs_matches_reference;
+    prop_compare_component_is_stdlib;
     Alcotest.test_case "counters merge laws" `Quick test_counters_merge_laws;
     prop_counters_split_merge;
     Alcotest.test_case "metrics merge + cache counters" `Quick test_metrics_merge;

@@ -396,6 +396,39 @@ let test_drift_unmatched_is_not_drift () =
   Alcotest.(check int) "unmatched run listed" 1
     (List.length report.Dt_report.Drift.unmatched)
 
+(* the CLI gate's exit codes: 0 when every run matched a baseline and
+   none drifted, 1 when no run has a baseline of its fingerprint, 2 on a
+   missing baseline file. The binary runs in a child process (posix_spawn;
+   this test binary has domains, so no fork). *)
+let test_drift_cli_exit_codes () =
+  let cli =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "bin/deptest_cli.exe"
+  in
+  let base = "drift_cli_base.jsonl" and fresh = "drift_cli_fresh.jsonl" in
+  Dt_report.Ledger.save ~path:base [ record_of small_prog ];
+  Dt_report.Ledger.save ~path:fresh [ record_of ~label:"brand-new" small_prog ];
+  let drift ~ledger ~baseline =
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process cli
+        [| cli; "report"; "drift"; "--ledger"; ledger; "--baseline"; baseline;
+           "--no-latency" |]
+        Unix.stdin null null
+    in
+    Unix.close null;
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | _ -> -1
+  in
+  Alcotest.(check int) "a matched run without drift passes" 0
+    (drift ~ledger:base ~baseline:base);
+  Alcotest.(check int) "every run unmatched fails" 1
+    (drift ~ledger:fresh ~baseline:base);
+  Alcotest.(check int) "a missing baseline is a load error" 2
+    (drift ~ledger:base ~baseline:"no_such_baseline.jsonl")
+
 let test_drift_latency_threshold () =
   let r = record_of small_prog in
   let slow = { r with Dt_report.Record.pair_ns = r.Dt_report.Record.pair_ns * 100 + 10_000_000 } in
@@ -721,6 +754,7 @@ let suite =
       test_drift_flipped_verdict;
     Alcotest.test_case "unmatched fingerprints are not drift" `Quick
       test_drift_unmatched_is_not_drift;
+    Alcotest.test_case "drift CLI exit codes" `Quick test_drift_cli_exit_codes;
     Alcotest.test_case "latency drift thresholds" `Quick
       test_drift_latency_threshold;
     Alcotest.test_case "prometheus exposition parses cleanly" `Quick
