@@ -38,7 +38,7 @@ val clamp_auto : int -> int
     above {!recommended_jobs} clamp to {!recommended_jobs}; an explicit
     [1 <= jobs <= recommended] is kept. Oversubscribing domains is never
     profitable — on a 2-core box, 64 miv-batch units through
-    [Analyze.run_all] took 1.9–2.1x as long at jobs 4 as at jobs 2 —
+    [Analyze.run_all] took 2.0–2.1x as long at jobs 4 as at jobs 2 —
     so auto selection must never exceed the core count. *)
 
 type probe = {
