@@ -1065,8 +1065,6 @@ let suite =
     Alcotest.test_case "pool sequential fallback" `Quick test_pool_sequential;
     Alcotest.test_case "pool propagates body exceptions" `Quick test_pool_exception;
     Alcotest.test_case "pool empty range" `Quick test_pool_empty;
-    Alcotest.test_case "pool idle worker leaves once all is claimed" `Quick
-      test_pool_idle_worker_leaves_early;
     Alcotest.test_case "deque: owner pops LIFO" `Quick test_deque_owner_lifo;
     Alcotest.test_case "deque: thieves steal FIFO" `Quick test_deque_steal_fifo;
     Alcotest.test_case "deque: ring growth is lossless" `Quick test_deque_grows;
@@ -1079,13 +1077,6 @@ let suite =
     prop_key_matches_reference;
     Alcotest.test_case "key: corpus and miv sites match the reference" `Quick
       test_key_sweep_matches_reference;
-    Alcotest.test_case "statement text == Format reference" `Quick
-      test_text_matches_reference;
-    Alcotest.test_case "orient components == Stdlib.compare dedup" `Quick
-      test_components_match_reference;
-    Alcotest.test_case "to_dirvecs == List.nth reference" `Quick
-      test_to_dirvecs_matches_reference;
-    prop_compare_component_is_stdlib;
     Alcotest.test_case "counters merge laws" `Quick test_counters_merge_laws;
     prop_counters_split_merge;
     Alcotest.test_case "metrics merge + cache counters" `Quick test_metrics_merge;
@@ -1105,4 +1096,13 @@ let suite =
       test_reuse_corpus;
     Alcotest.test_case "cache reuse: miv 247 hits / 14733 misses" `Quick
       test_reuse_miv;
+    Alcotest.test_case "pool idle worker leaves once all is claimed" `Quick
+      test_pool_idle_worker_leaves_early;
+    Alcotest.test_case "statement text == Format reference" `Quick
+      test_text_matches_reference;
+    Alcotest.test_case "orient components == Stdlib.compare dedup" `Quick
+      test_components_match_reference;
+    Alcotest.test_case "to_dirvecs == List.nth reference" `Quick
+      test_to_dirvecs_matches_reference;
+    prop_compare_component_is_stdlib;
   ]
