@@ -16,7 +16,8 @@ let walk ~title ~loops ~pairs =
   in
   List.iter (fun p -> Format.printf "subscript %a@." Spair.pp p) pairs;
   let sink = Dt_obs.Trace.make () in
-  let r = Deptest.Delta.test ~sink assume range pairs ~relevant in
+  let obs = Deptest.Dispatch.make ~sink () in
+  let r = Deptest.Delta.test ~obs assume range pairs ~relevant in
   Format.printf "%a" Dt_obs.Trace.pp_tree sink;
   (match r.Deptest.Delta.verdict with
   | `Independent -> print_endline "verdict: INDEPENDENT"

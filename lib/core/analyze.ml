@@ -275,13 +275,6 @@ let past_deadline ctx =
   | Some d -> Int64.compare (Dt_obs.Clock.now_ns ()) d >= 0
   | None -> false
 
-let degrade_reason = function
-  | Dt_guard.Ops.Overflow -> Dt_guard.Degrade.Overflow
-  | Dt_guard.Budget.Exhausted -> Dt_guard.Degrade.Budget
-  | Dt_guard.Inject.Injected site ->
-      Dt_guard.Degrade.Exception ("injected fault at " ^ site)
-  | e -> Dt_guard.Degrade.Exception (Printexc.to_string e)
-
 (* the conservative substitute for a site whose task failed (or was cut
    off) outside [Pair_test.test]'s own containment *)
 let widen_site ?metrics site reason =
@@ -290,16 +283,11 @@ let widen_site ?metrics site reason =
         _ } =
     site
   in
-  let r =
-    Pair_test.degraded_result
-      ~src:(a1.Stmt.aref, loops1)
-      ~snk:(a2.Stmt.aref, loops2)
-      reason
-  in
-  (match metrics with
-  | Some m -> Dt_obs.Metrics.degraded m (Dt_guard.Degrade.tag reason)
-  | None -> ());
-  r
+  Dispatch.degraded (Dispatch.make ?metrics ()) reason;
+  Pair_test.degraded_result
+    ~src:(a1.Stmt.aref, loops1)
+    ~snk:(a2.Stmt.aref, loops2)
+    reason
 
 (* test one reference pair on worker [w], accumulating §6 counts into
    [counters] ([w.counters] for a per-site run; a per-routine
@@ -338,15 +326,17 @@ let test_one ctx (w : worker) ~counters site =
     let r =
       Dt_obs.Span.with_ w.spans Dt_obs.Span.Pair @@ fun () ->
       scoped (fun () ->
+          let compute counters =
+            Pair_test.test ~counters ?metrics:w.metrics ?sink:ctx.csink
+              ?spans:w.spans ?budget ~scratch:w.scratch
+              ~strategy:ctx.cstrategy ~assume:ctx.cassume
+              ~src:(a1.Stmt.aref, loops1)
+              ~snk:(a2.Stmt.aref, loops2)
+              ()
+          in
           let r =
             match ctx.ccache with
-            | None ->
-                Pair_test.test ~counters ?metrics:w.metrics ?sink:ctx.csink
-                  ?spans:w.spans ?budget ~scratch:w.scratch
-                  ~strategy:ctx.cstrategy ~assume:ctx.cassume
-                  ~src:(a1.Stmt.aref, loops1)
-                  ~snk:(a2.Stmt.aref, loops2)
-                  ()
+            | None -> compute counters
             | Some c -> (
                 let key =
                   Dt_engine.Key.make
@@ -371,15 +361,7 @@ let test_one ctx (w : worker) ~counters site =
                     (* run against a fresh accumulator so the increments
                        can be stored and replayed on later hits *)
                     let local = Counters.create () in
-                    let r =
-                      Pair_test.test ~counters:local ?metrics:w.metrics
-                        ?sink:ctx.csink ?spans:w.spans ?budget
-                        ~scratch:w.scratch ~strategy:ctx.cstrategy
-                        ~assume:ctx.cassume
-                        ~src:(a1.Stmt.aref, loops1)
-                        ~snk:(a2.Stmt.aref, loops2)
-                        ()
-                    in
+                    let r = compute local in
                     (* a degraded verdict reflects a fault or a spent
                        budget, not the pair's shape: never memoize it *)
                     if r.Pair_test.meta.Pair_test.degraded = None then
@@ -656,7 +638,9 @@ let run (cfg : Config.t) prog =
     | Out_of_memory -> raise e
     | e ->
         results.(i) <-
-          Some (widen_site ?metrics:w.metrics sites.(i) (degrade_reason e))
+          Some
+            (widen_site ?metrics:w.metrics sites.(i)
+               (Dt_guard.Degrade.of_exn e))
   in
   let pool =
     Dt_support.Pool.create ~jobs:pjobs ~grain
@@ -697,7 +681,8 @@ let analyze_seq ctx (w : worker) ~include_inputs prog =
         | r -> r
         | exception Out_of_memory -> raise Out_of_memory
         | exception e ->
-            widen_site ?metrics:w.metrics sites.(i) (degrade_reason e))
+            widen_site ?metrics:w.metrics sites.(i)
+              (Dt_guard.Degrade.of_exn e))
   done;
   let r = orient sites results in
   { r with counters }

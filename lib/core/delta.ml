@@ -161,44 +161,13 @@ let relation_infeasible loops assume ~ivar ~jvar ~e =
       else false)
     loops
 
-let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?(loops = [])
-    assume range pairs ~relevant =
-  Dt_obs.Span.with_ spans Dt_obs.Span.Delta @@ fun () ->
-  let instrumented = metrics <> None || spans <> None in
-  let t_start = if instrumented then Dt_obs.Clock.now_ns () else 0L in
-  (* [record ~t0] closes the measurement opened by [tick]: one clock
-     read feeds both the metrics total and the timeline leaf. [~span:
-     false] suppresses the leaf when a dedicated span (Banerjee, the
-     whole Delta bracket) already covers the same interval. *)
-  let record ?(t0 = 0L) ?(span = true) k ~indep =
-    (match counters with Some c -> Counters.record c k ~indep | None -> ());
-    if instrumented then begin
-      let t1 = Dt_obs.Clock.now_ns () in
-      (match metrics with
-      | Some m -> Dt_obs.Metrics.record m k ~indep ~ns:(Int64.sub t1 t0)
-      | None -> ());
-      match spans with
-      | Some b when span ->
-          Dt_obs.Span.record b (Dt_obs.Span.Test k) ~t0_ns:t0 ~t1_ns:t1
-      | _ -> ()
-    end
-  in
-  let tick () = if instrumented then Dt_obs.Clock.now_ns () else 0L in
+let test ?(obs = Dispatch.none) ?(loops = []) assume range pairs ~relevant =
+  Dispatch.span obs Dt_obs.Span.Delta @@ fun () ->
+  let t_start = Dispatch.tick obs in
   (* [tracing] is checked before any trace string is built, so a run
      without a sink allocates nothing for tracing *)
-  let tracing = sink <> None in
-  let emit ev =
-    match sink with Some sk -> Dt_obs.Trace.emit sk ev | None -> ()
-  in
-  let note s = emit (Dt_obs.Trace.Note s) in
-  let emit_test kind p verdict reason =
-    match sink with
-    | Some sk ->
-        Dt_obs.Trace.emit sk
-          (Dt_obs.Trace.Test
-             { kind; subscript = Spair.to_string p; verdict; reason })
-    | None -> ()
-  in
+  let tracing = Dispatch.tracing obs in
+  let note = Dispatch.note obs in
   let pairs = Array.of_list pairs in
   let n = Array.length pairs in
   let pending = Array.make n true in
@@ -214,7 +183,7 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?(loops = [])
     let old = get_constr i in
     let c' = Constr.intersect assume old c in
     if tracing then begin
-      emit
+      Dispatch.emit obs
         (Dt_obs.Trace.Constraint
            {
              index = Format.asprintf "%a" Index.pp i;
@@ -234,65 +203,20 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?(loops = [])
   let test_one k =
     let p = pairs.(k) in
     match Classify.classify ~relevant p with
-    | Classify.Ziv -> (
-        let t0 = tick () in
-        let o = Ziv.test assume p in
-        let indep = o = Outcome.Independent in
-        record ~t0 Counters.Ziv_test ~indep;
-        if tracing then begin
-          let d = Affine.sub p.Spair.snk p.Spair.src in
-          emit_test Counters.Ziv_test p
-            (if indep then Dt_obs.Trace.Independent
-             else Dt_obs.Trace.Inconclusive)
-            (if indep then
-               Format.asprintf "subscript difference %a is never zero"
-                 Affine.pp d
-             else
-               Format.asprintf "subscript difference %a may vanish" Affine.pp d)
-        end;
+    | Classify.Miv _ -> () (* handled by propagation / fallback *)
+    | cls -> (
         pending.(k) <- false;
-        match o with
-        | Outcome.Independent -> raise Proved_independent
-        | _ -> ())
-    | Classify.Siv { index; kind } -> (
-        let t0 = tick () in
-        let r = Siv.test assume range p index in
-        let ckind =
-          match kind with
-          | Classify.Strong -> Counters.Strong_siv
-          | Classify.Weak_zero -> Counters.Weak_zero_siv
-          | Classify.Weak_crossing -> Counters.Weak_crossing_siv
-          | Classify.General -> Counters.Exact_siv
-        in
-        let indep = r.Siv.outcome = Outcome.Independent in
-        record ~t0 ckind ~indep;
-        if tracing then
-          emit_test ckind p
-            (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
-            (Siv.explain range p index r);
-        pending.(k) <- false;
-        match r.Siv.outcome with
-        | Outcome.Independent -> raise Proved_independent
-        | _ -> add_constr index r.Siv.constr)
-    | Classify.Rdiv { src_index; snk_index } -> (
-        let t0 = tick () in
-        let r = Rdiv.test assume range p ~src:src_index ~snk:snk_index in
-        let indep = r.Rdiv.outcome = Outcome.Independent in
-        record ~t0 Counters.Rdiv_test ~indep;
-        if tracing then
-          emit_test Counters.Rdiv_test p
-            (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
-            (Rdiv.explain r);
-        pending.(k) <- false;
-        match r.Rdiv.outcome with
-        | Outcome.Independent -> raise Proved_independent
-        | _ -> (
+        match Dispatch.separable obs assume range p cls with
+        | Dispatch.Independent _ -> raise Proved_independent
+        | Dispatch.Dependent (Dispatch.Ziv _) -> ()
+        | Dispatch.Dependent (Dispatch.Siv (index, r)) ->
+            add_constr index r.Siv.constr
+        | Dispatch.Dependent (Dispatch.Rdiv r) -> (
             match r.Rdiv.relation with
             | Some rel ->
                 relations := rel :: !relations;
                 changed := true
             | None -> ()))
-    | Classify.Miv _ -> () (* handled by propagation / fallback *)
   in
   let propagate () =
     for k = 0 to n - 1 do
@@ -590,8 +514,8 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?(loops = [])
     let continue = ref true in
     while !continue && !passes < (3 * n) + 3 do
       incr passes;
-      emit (Dt_obs.Trace.Pass !passes);
-      Dt_obs.Span.with_ spans Dt_obs.Span.Delta_pass (fun () ->
+      Dispatch.emit obs (Dt_obs.Trace.Pass !passes);
+      Dispatch.span obs Dt_obs.Span.Delta_pass (fun () ->
           changed := false;
           for k = 0 to n - 1 do
             if pending.(k) then test_one k
@@ -624,39 +548,13 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?(loops = [])
         let occurring = Index.Set.inter (Spair.indices p) relevant in
         if not (Index.Set.is_empty occurring) then begin
           incr leftovers;
-          let t0 = tick () in
-          (match Gcd_test.test p with
-          | `Independent ->
-              record ~t0 Counters.Gcd_miv ~indep:true;
-              emit_test Counters.Gcd_miv p Dt_obs.Trace.Independent
-                "coefficient gcd does not divide the constant difference";
-              raise Proved_independent
-          | `Maybe ->
-              record ~t0 Counters.Gcd_miv ~indep:false;
-              if tracing then
-                emit_test Counters.Gcd_miv p Dt_obs.Trace.Inconclusive
-                  "coefficient gcd divides the constant difference");
           let indices =
             Index.Set.elements occurring
             |> List.sort (fun a b -> compare (Index.depth a) (Index.depth b))
           in
-          let t1 = tick () in
-          match
-            Banerjee.vectors ?scratch ?metrics ?sink ?spans ?budget
-              assume range [ p ] ~indices
-          with
-          | `Independent as v ->
-              record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:true;
-              if tracing then
-                emit_test Counters.Banerjee_miv p Dt_obs.Trace.Independent
-                  (Banerjee.explain v);
-              raise Proved_independent
-          | `Vectors vecs as v ->
-              record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:false;
-              if tracing then
-                emit_test Counters.Banerjee_miv p Dt_obs.Trace.Dependent
-                  (Banerjee.explain v);
-              miv_results := Presult.Vectors (indices, vecs) :: !miv_results
+          match Dispatch.miv obs assume range p ~indices with
+          | Dispatch.Independent _ -> raise Proved_independent
+          | Dispatch.Dependent r -> miv_results := r :: !miv_results
         end
       end
     done;
@@ -672,6 +570,6 @@ let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?(loops = [])
     with Proved_independent ->
       { verdict = `Independent; passes = !passes; leftover_miv = 0 }
   in
-  record ~t0:t_start ~span:false Counters.Delta_test
+  Dispatch.record obs ~t0:t_start ~span:false Counters.Delta_test
     ~indep:(res.verdict = `Independent);
   res

@@ -12,8 +12,9 @@
       reduction produces new SIV subscripts, iterate (multiple passes);
     + propagate restricted-DIV (RDIV) constraints for coupled permutation-
       style subscripts (§5.3.2);
-    + any remaining MIV subscripts fall through to the Banerjee-GCD
-      hierarchy (the paper notes more general tests may be used here).
+    + any remaining MIV subscripts fall through to the GCD test and the
+      Banerjee hierarchy, {!Dispatch.miv} (the paper notes more general
+      tests may be used here).
 
     Each subscript is tested at most once per shape, so the test is linear
     in the number of subscripts. *)
@@ -27,12 +28,7 @@ type result = {
 }
 
 val test :
-  ?counters:Counters.t ->
-  ?metrics:Dt_obs.Metrics.t ->
-  ?sink:Dt_obs.Trace.sink ->
-  ?spans:Dt_obs.Span.t ->
-  ?budget:Dt_guard.Budget.t ->
-  ?scratch:Banerjee.Scratch.t ->
+  ?obs:Dispatch.t ->
   ?loops:Loop.t list ->
   Assume.t ->
   Range.t ->
@@ -40,12 +36,13 @@ val test :
   relevant:Index.Set.t ->
   result
 (** Test one minimal coupled group. [relevant] is the set of common-loop
-    indices. [sink] receives a typed {!Dt_obs.Trace} account of every
-    step (the Figure-3 walkthrough example prints it) and [metrics]
-    accumulates per-kind timings. [spans] adds the group to the timeline: one
-    {!Dt_obs.Span.Delta} bracket, one {!Dt_obs.Span.Delta_pass} per
-    constraint-propagation pass, and a leaf span per exact test applied.
-    When no observer is supplied no trace strings are built.
+    indices. Every exact test and MIV fallback runs through {!Dispatch},
+    so [obs] (default {!Dispatch.none}) records each one: §6 counters,
+    per-kind metrics, a timeline leaf and a typed {!Dt_obs.Trace} event
+    (the Figure-3 walkthrough example prints the trace). Its spans also
+    get one {!Dt_obs.Span.Delta} bracket for the group and one
+    {!Dt_obs.Span.Delta_pass} per constraint-propagation pass. Without a
+    sink no trace strings are built.
 
     [loops] (the enclosing loops, outermost first) enables the *relational*
     RDIV refinement: combining an RDIV relation [alpha_i = beta_j + c]

@@ -81,11 +81,8 @@ let rename_snk ~src_loops ~common (snk_loops : Loop.t list)
    renaming / range computation / classification — before the per-pair
    backstop below is even reachable — escapes this function. [test]
    wraps it so the exported entry point never raises. *)
-let test_exn ?counters ?metrics ?sink ?spans ?budget ?scratch
-    ?(strategy = Partition_based) ?(assume = Assume.empty)
-    ~src:(src_ref, src_loops) ~snk:(snk_ref, snk_loops) () =
-  if src_ref.Aref.base <> snk_ref.Aref.base then
-    invalid_arg "Pair_test.test: references to different arrays";
+let test_exn obs ~metrics ~spans ~strategy ~assume
+    ~src:(src_ref, src_loops) ~snk:(snk_ref, snk_loops) =
   let common = common_loops src_loops snk_loops in
   let snk_suffix, snk_subs =
     rename_snk ~src_loops ~common snk_loops snk_ref.Aref.subs
@@ -120,39 +117,6 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget ?scratch
               Classify.partition ~relevant spairs )))
   in
   let delta_passes = ref 0 and delta_leftover = ref 0 in
-  let instrumented = metrics <> None || spans <> None in
-  (* [record ~t0] closes the measurement opened by [tick]: one clock
-     read feeds both the metrics total and the timeline leaf. [~span:
-     false] suppresses the leaf when a dedicated span (the Banerjee
-     hierarchy bracket) already covers the same interval. *)
-  let record ?(t0 = 0L) ?(span = true) k ~indep =
-    (match counters with Some c -> Counters.record c k ~indep | None -> ());
-    if instrumented then begin
-      let t1 = Dt_obs.Clock.now_ns () in
-      (match metrics with
-      | Some m -> Dt_obs.Metrics.record m k ~indep ~ns:(Int64.sub t1 t0)
-      | None -> ());
-      match spans with
-      | Some b when span ->
-          Dt_obs.Span.record b (Dt_obs.Span.Test k) ~t0_ns:t0 ~t1_ns:t1
-      | _ -> ()
-    end
-  in
-  let tick () = if instrumented then Dt_obs.Clock.now_ns () else 0L in
-  let emit ev =
-    match sink with Some sk -> Dt_obs.Trace.emit sk ev | None -> ()
-  in
-  let scoped f =
-    match sink with Some sk -> Dt_obs.Trace.scope sk f | None -> f ()
-  in
-  let emit_test kind p verdict reason =
-    match sink with
-    | Some sk ->
-        Dt_obs.Trace.emit sk
-          (Dt_obs.Trace.Test
-             { kind; subscript = Spair.to_string p; verdict; reason })
-    | None -> ()
-  in
   let exception Indep of Counters.kind option in
   (* fault containment: the first degradation reason per pair, recorded
      whether the fault is contained at the partition or the pair level *)
@@ -166,99 +130,31 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget ?scratch
   let contain ~widen f =
     match f () with
     | r -> r
-    | exception Dt_guard.Ops.Overflow ->
-        note_degraded Dt_guard.Degrade.Overflow;
-        widen Dt_guard.Degrade.Overflow
-    | exception Dt_guard.Inject.Injected site ->
-        let r = Dt_guard.Degrade.Exception ("injected fault at " ^ site) in
+    | exception ((Dt_guard.Ops.Overflow | Dt_guard.Inject.Injected _) as e) ->
+        let r = Dt_guard.Degrade.of_exn e in
         note_degraded r;
         widen r
   in
   let test_separable p =
     match Classify.classify ~relevant p with
-    | Classify.Ziv ->
-        let t0 = tick () in
-        let o = Ziv.test assume p in
-        let symbolic = not (Affine.is_const (Affine.sub p.Spair.snk p.Spair.src)) in
-        let ck = if symbolic then Counters.Symbolic_ziv else Counters.Ziv_test in
-        let indep = o = Outcome.Independent in
-        record ~t0 ck ~indep;
-        if sink <> None then
-          emit_test ck p
-            (if indep then Dt_obs.Trace.Independent
-             else Dt_obs.Trace.Inconclusive)
-            (Format.asprintf
-               (if indep then "subscript difference %a is never zero"
-                else "subscript difference %a may vanish")
-               Affine.pp
-               (Affine.sub p.Spair.snk p.Spair.src));
-        if indep then raise (Indep (Some ck));
-        Presult.of_outcome o
-    | Classify.Siv { index; kind } ->
-        let t0 = tick () in
-        let r = Siv.test assume range p index in
-        let ck =
-          match kind with
-          | Classify.Strong -> Counters.Strong_siv
-          | Classify.Weak_zero -> Counters.Weak_zero_siv
-          | Classify.Weak_crossing -> Counters.Weak_crossing_siv
-          | Classify.General -> Counters.Exact_siv
-        in
-        let indep = r.Siv.outcome = Outcome.Independent in
-        record ~t0 ck ~indep;
-        if sink <> None then
-          emit_test ck p
-            (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
-            (Siv.explain range p index r);
-        if indep then raise (Indep (Some ck));
-        Presult.of_outcome r.Siv.outcome
-    | Classify.Rdiv { src_index; snk_index } ->
-        let t0 = tick () in
-        let r = Rdiv.test assume range p ~src:src_index ~snk:snk_index in
-        let indep = r.Rdiv.outcome = Outcome.Independent in
-        record ~t0 Counters.Rdiv_test ~indep;
-        if sink <> None then
-          emit_test Counters.Rdiv_test p
-            (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
-            (Rdiv.explain r);
-        if indep then raise (Indep (Some Counters.Rdiv_test));
-        Presult.of_outcome r.Rdiv.outcome
     | Classify.Miv _ -> (
-        let t0 = tick () in
-        (match Gcd_test.test p with
-        | `Independent ->
-            record ~t0 Counters.Gcd_miv ~indep:true;
-            emit_test Counters.Gcd_miv p Dt_obs.Trace.Independent
-              "coefficient gcd does not divide the constant difference";
-            raise (Indep (Some Counters.Gcd_miv))
-        | `Maybe -> record ~t0 Counters.Gcd_miv ~indep:false);
         let occurring = Spair.indices p in
         let indices =
           List.filter (fun i -> Index.Set.mem i occurring) common_indices
         in
-        let t1 = tick () in
-        match
-          Banerjee.vectors ?scratch ?metrics ?sink ?spans ?budget
-            assume range [ p ] ~indices
-        with
-        | `Independent as v ->
-            record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:true;
-            if sink <> None then
-              emit_test Counters.Banerjee_miv p Dt_obs.Trace.Independent
-                (Banerjee.explain v);
-            raise (Indep (Some Counters.Banerjee_miv))
-        | `Vectors vecs as v ->
-            record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:false;
-            if sink <> None then
-              emit_test Counters.Banerjee_miv p Dt_obs.Trace.Dependent
-                (Banerjee.explain v);
-            Presult.Vectors (indices, vecs))
+        match Dispatch.miv obs assume range p ~indices with
+        | Dispatch.Independent k -> raise (Indep (Some k))
+        | Dispatch.Dependent r -> r)
+    | cls -> (
+        match Dispatch.separable obs assume range p cls with
+        | Dispatch.Independent k -> raise (Indep (Some k))
+        | Dispatch.Dependent s -> Presult.of_outcome (Dispatch.outcome s))
   in
   let spairs_arr = Array.of_list spairs in
   let separable, coupled =
     List.partition (fun g -> List.length g.Classify.positions = 1) groups
   in
-  emit
+  Dispatch.emit obs
     (Dt_obs.Trace.Partitioned
        {
          dims = List.length spairs + nonlinear;
@@ -273,8 +169,7 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget ?scratch
           match strategy with
           | Subscript_by_subscript -> (
               match
-                Subscript_wise.test ?counters ?metrics ?sink ?spans ?budget
-                  ?scratch assume range spairs
+                Subscript_wise.test ~obs assume range spairs
                   ~common:common_indices
               with
               | `Independent k -> raise (Indep (Some k))
@@ -295,17 +190,16 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget ?scratch
                     let group_pairs =
                       List.map (fun k -> spairs_arr.(k)) g.Classify.positions
                     in
-                    emit
+                    Dispatch.emit obs
                       (Dt_obs.Trace.Group_start
                          { positions = g.Classify.positions });
                     contain
                       ~widen:(fun r -> [ Presult.Degraded r ])
                       (fun () ->
                         let r =
-                          scoped (fun () ->
-                              Delta.test ?counters ?metrics ?sink ?spans
-                                ?budget ?scratch ~loops:all_loops
-                                assume range group_pairs ~relevant)
+                          Dispatch.scoped obs (fun () ->
+                              Delta.test ~obs ~loops:all_loops assume range
+                                group_pairs ~relevant)
                         in
                         delta_passes := max !delta_passes r.Delta.passes;
                         delta_leftover :=
@@ -350,29 +244,10 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget ?scratch
     match run () with
     | r -> (r, None)
     | exception Indep k -> (`Independent, k)
-    | exception Dt_guard.Ops.Overflow ->
-        (conservative Dt_guard.Degrade.Overflow, None)
-    | exception Dt_guard.Budget.Exhausted ->
-        (conservative Dt_guard.Degrade.Budget, None)
-    | exception Dt_guard.Inject.Injected site ->
-        (conservative (Dt_guard.Degrade.Exception ("injected fault at " ^ site)),
-         None)
     | exception Out_of_memory -> raise Out_of_memory
-    | exception Stack_overflow ->
-        (conservative (Dt_guard.Degrade.Exception "Stack_overflow"), None)
-    | exception e ->
-        (conservative (Dt_guard.Degrade.Exception (Printexc.to_string e)), None)
+    | exception e -> (conservative (Dt_guard.Degrade.of_exn e), None)
   in
-  (match !degraded with
-  | None -> ()
-  | Some r ->
-      (match metrics with
-      | Some m -> Dt_obs.Metrics.degraded m (Dt_guard.Degrade.tag r)
-      | None -> ());
-      emit
-        (Dt_obs.Trace.Note
-           (Printf.sprintf "pair degraded conservatively (%s)"
-              (Dt_guard.Degrade.to_string r))));
+  Option.iter (Dispatch.degraded obs) !degraded;
   let meta =
     {
       dims = List.length spairs + nonlinear;
@@ -418,34 +293,17 @@ let degraded_result ~src:((_ : Aref.t), src_loops) ~snk:((_ : Aref.t), snk_loops
    exported driver therefore never raises — any fault yields the
    conservative full direction-vector verdict, with the reason recorded
    in metrics and on the trace. [Out_of_memory] stays fatal. *)
-let test ?counters ?metrics ?sink ?spans ?budget ?scratch ?strategy
-    ?assume ~src ~snk () =
+let test ?counters ?metrics ?sink ?spans ?budget ?scratch
+    ?(strategy = Partition_based) ?(assume = Assume.empty) ~src ~snk () =
   if (fst src).Aref.base <> (fst snk).Aref.base then
     invalid_arg "Pair_test.test: references to different arrays";
-  match
-    test_exn ?counters ?metrics ?sink ?spans ?budget ?scratch
-      ?strategy ?assume ~src ~snk ()
-  with
+  let obs =
+    Dispatch.make ?counters ?metrics ?sink ?spans ?budget ?scratch ()
+  in
+  match test_exn obs ~metrics ~spans ~strategy ~assume ~src ~snk with
   | r -> r
   | exception Out_of_memory -> raise Out_of_memory
   | exception e ->
-      let reason =
-        match e with
-        | Dt_guard.Ops.Overflow -> Dt_guard.Degrade.Overflow
-        | Dt_guard.Budget.Exhausted -> Dt_guard.Degrade.Budget
-        | Dt_guard.Inject.Injected site ->
-            Dt_guard.Degrade.Exception ("injected fault at " ^ site)
-        | Stack_overflow -> Dt_guard.Degrade.Exception "Stack_overflow"
-        | e -> Dt_guard.Degrade.Exception (Printexc.to_string e)
-      in
-      (match metrics with
-      | Some m -> Dt_obs.Metrics.degraded m (Dt_guard.Degrade.tag reason)
-      | None -> ());
-      (match sink with
-      | Some sk ->
-          Dt_obs.Trace.emit sk
-            (Dt_obs.Trace.Note
-               (Printf.sprintf "pair degraded conservatively (%s)"
-                  (Dt_guard.Degrade.to_string reason)))
-      | None -> ());
+      let reason = Dt_guard.Degrade.of_exn e in
+      Dispatch.degraded obs reason;
       degraded_result ~src ~snk reason

@@ -8,9 +8,9 @@
     + excludes nonlinear subscripts (conservatively unconstrained);
     + partitions the subscript positions into separable positions and
       minimal coupled groups;
-    + dispatches the cheapest applicable exact test on each separable
-      position (ZIV / SIV / RDIV / Banerjee-GCD MIV) and the Delta test on
-      each coupled group;
+    + applies the cheapest applicable exact test on each separable
+      position (ZIV / SIV / RDIV, or GCD then Banerjee for MIV) and the
+      Delta test on each coupled group, every test through {!Dispatch};
     + merges the per-partition direction-vector sets into a single set
       over the common loops.
 
@@ -68,16 +68,14 @@ val test :
     two references must name the same array. Loop-nonemptiness facts are
     added to [assume] automatically.
 
-    [metrics] accumulates per-test-kind counts/timings and partition /
-    test / merge phase spans; [sink] receives the typed trace of every
-    step (see {!Dt_obs.Trace}); [spans] receives the timeline —
-    partition and merge brackets, a leaf span per test applied, and the
-    Delta / Banerjee sub-brackets (see {!Dt_obs.Span}). None of them
-    costs anything when omitted.
-
-    [scratch] lends every Banerjee hierarchy query this pair issues a
-    per-worker arena so repeated pairs stop allocating compilation
-    buffers; it cannot change the verdict.
+    The six optional observers and resources form the pair's one
+    {!Dispatch} context, which records every test applied: [counters]
+    and [metrics] count and time it per kind, [sink] traces it with its
+    reason (see {!Dt_obs.Trace}), [spans] adds a timeline leaf (see
+    {!Dt_obs.Span}), [budget] caps the Banerjee work and [scratch] lends
+    the Banerjee hierarchy a per-worker arena (it cannot change the
+    verdict). [metrics] and [spans] also get this driver's partition /
+    test / merge brackets. None of them costs anything when omitted.
 
     Fault containment: an overflow of the checked arithmetic or an
     injected fault inside one partition's test degrades that partition;

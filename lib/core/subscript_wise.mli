@@ -9,17 +9,13 @@
 open Dt_ir
 
 val test :
-  ?counters:Counters.t ->
-  ?metrics:Dt_obs.Metrics.t ->
-  ?sink:Dt_obs.Trace.sink ->
-  ?spans:Dt_obs.Span.t ->
-  ?budget:Dt_guard.Budget.t ->
-  ?scratch:Banerjee.Scratch.t ->
+  ?obs:Dispatch.t ->
   Assume.t ->
   Range.t ->
   Spair.t list ->
   common:Index.t list ->
   [ `Independent of Counters.kind | `Dependent of Presult.t list ]
-(** One [Presult] per subscript position; on independence, the kind of the
-    test that proved it. [metrics] and [sink] feed the observability
-    layer (see {!Dt_obs}). *)
+(** One [Presult] per subscript position, each from {!Dispatch.miv} over
+    the common loops it mentions; on independence, the kind of the test
+    that proved it. [obs] receives the counts, timings and trace of every
+    test applied (default {!Dispatch.none}). *)

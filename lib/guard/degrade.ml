@@ -18,6 +18,13 @@ let to_string = function
   | Exception msg -> "exception: " ^ msg
   | Budget -> "budget"
 
+let of_exn = function
+  | Ops.Overflow -> Overflow
+  | Budget.Exhausted -> Budget
+  | Inject.Injected site -> Exception ("injected fault at " ^ site)
+  | Stack_overflow -> Exception "Stack_overflow"
+  | e -> Exception (Printexc.to_string e)
+
 let pp ppf r = Format.pp_print_string ppf (to_string r)
 
 let equal a b =

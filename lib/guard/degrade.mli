@@ -20,5 +20,11 @@ val tag : reason -> [ `Overflow | `Exception | `Budget ]
 (** The structural bucket, for consumers (like the metrics registry)
     that must not depend on this library. *)
 
+val of_exn : exn -> reason
+(** The reason a contained exception degrades a pair with: checked
+    overflow, a spent budget, an injected fault (naming its site), or any
+    other exception by its printed form. Callers re-raise
+    [Out_of_memory] before asking: it stays fatal. *)
+
 val pp : Format.formatter -> reason -> unit
 val equal : reason -> reason -> bool

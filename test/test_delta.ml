@@ -174,7 +174,7 @@ let test_trace () =
   let loops = loops1 ~hi:50 () in
   let assume, range = siv_ctx loops in
   let _ =
-    Deptest.Delta.test ~sink assume range
+    Deptest.Delta.test ~obs:(Deptest.Dispatch.make ~sink ()) assume range
       [ spair (av ~c:1 i0) (av i0); spair (av ~c:2 i0) (av i0) ]
       ~relevant:(Index.Set.singleton i0)
   in

@@ -1059,6 +1059,41 @@ let test_reuse_miv () =
     (List.init 64 (fun i -> miv_unit ~seed:1 i))
     ~hits:247 ~misses:14_733
 
+(* --- Explain parity -------------------------------------------------------- *)
+
+(* the [--explain] tree over the corpus and the 64 seed-1 miv units, at
+   jobs 1 with the cache off, pinned byte for byte except for the
+   inconclusive GCD lines: the digest predates tracing those outside the
+   Delta test *)
+let gcd_inconclusive line =
+  let l = String.trim line in
+  String.starts_with ~prefix:"GCD " l
+  && Astring_contains.contains l ": inconclusive — "
+
+let explain_text () =
+  let out = Buffer.create (1 lsl 20) and dropped = ref 0 in
+  List.iter
+    (List.iter (fun prog ->
+         let sink = Dt_obs.Trace.make () in
+         let cfg = Deptest.Analyze.Config.make ~jobs:1 ~cache:false ~sink () in
+         ignore (Deptest.Analyze.run cfg prog);
+         let text = Format.asprintf "%a" Dt_obs.Trace.pp_tree sink in
+         List.iter
+           (fun line ->
+             if gcd_inconclusive line then incr dropped
+             else if line <> "" then begin
+               Buffer.add_string out line;
+               Buffer.add_char out '\n'
+             end)
+           (String.split_on_char '\n' text)))
+    (corpus_units () @ List.init 64 (fun i -> miv_unit ~seed:1 i));
+  (Buffer.contents out, !dropped)
+
+let test_explain_golden () =
+  let text, _ = explain_text () in
+  check string "explain tree MD5 without inconclusive GCD lines"
+    "b738c5f5c4e596af4fa5ab4fbb584d80" (Digest.to_hex (Digest.string text))
+
 let suite =
   [
     Alcotest.test_case "pool covers every index once" `Quick test_pool_covers_all;
@@ -1105,4 +1140,6 @@ let suite =
     Alcotest.test_case "to_dirvecs == List.nth reference" `Quick
       test_to_dirvecs_matches_reference;
     prop_compare_component_is_stdlib;
+    Alcotest.test_case "explain tree golden: corpus and miv units" `Quick
+      test_explain_golden;
   ]

@@ -478,6 +478,29 @@ let prop_huge_constants_conservative =
           && res.Deptest.Pair_test.meta.Deptest.Pair_test.degraded = None
       | `Dependent _ -> true)
 
+(* every containment point (partition, pair, whole driver, engine pool)
+   names a contained exception through one mapping *)
+let test_degrade_of_exn () =
+  let reason =
+    Alcotest.testable Dt_guard.Degrade.pp Dt_guard.Degrade.equal
+  in
+  List.iter
+    (fun (name, e, want) ->
+      Alcotest.check reason name want (Dt_guard.Degrade.of_exn e))
+    [
+      ("overflow", Ops.Overflow, Dt_guard.Degrade.Overflow);
+      ("budget", Dt_guard.Budget.Exhausted, Dt_guard.Degrade.Budget);
+      ( "injected fault",
+        Inject.Injected "pair.test",
+        Dt_guard.Degrade.Exception "injected fault at pair.test" );
+      ( "stack overflow",
+        Stack_overflow,
+        Dt_guard.Degrade.Exception "Stack_overflow" );
+      ( "any other exception",
+        Failure "boom",
+        Dt_guard.Degrade.Exception (Printexc.to_string (Failure "boom")) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "ops: edge cases at the int frontier" `Quick test_ops_edges;
@@ -505,4 +528,6 @@ let suite =
       `Quick test_injection_overflow_kind;
     prop_injection_sound;
     prop_huge_constants_conservative;
+    Alcotest.test_case "degrade: one exception-to-reason mapping" `Quick
+      test_degrade_of_exn;
   ]

@@ -1170,7 +1170,45 @@ let test_trace_analyze_verdicts () =
         ("applied agrees: " ^ Deptest.Counters.kind_name k)
         (Deptest.Counters.applied r.Deptest.Analyze.counters k)
         (Dt_obs.Metrics.applied metrics k))
-    Deptest.Counters.all_kinds
+    Deptest.Counters.all_kinds;
+  (* ... and the trace agrees with both, cache off: one [Test] event per
+     test applied, one [Group_start] per Delta application, on the
+     corpus under both strategies *)
+  List.iter
+    (fun (name, strategy) ->
+      let sink = Dt_obs.Trace.make () in
+      let cfg =
+        Deptest.Analyze.Config.make ~strategy ~sink ~cache:false ()
+      in
+      let counters = Deptest.Counters.create () in
+      List.iter
+        (fun (e : Dt_workloads.Corpus.entry) ->
+          List.iter
+            (fun (r : Deptest.Analyze.result) ->
+              Deptest.Counters.merge_into counters r.Deptest.Analyze.counters)
+            (Deptest.Analyze.run_all cfg (Dt_workloads.Corpus.programs e)))
+        Dt_workloads.Corpus.all;
+      let events = Dt_obs.Trace.events sink in
+      let count f = List.length (List.filter f events) in
+      List.iter
+        (fun k ->
+          let traced =
+            match k with
+            | Deptest.Counters.Delta_test ->
+                count (function Dt_obs.Trace.Group_start _ -> true | _ -> false)
+            | k ->
+                count (function
+                  | Dt_obs.Trace.Test { kind; _ } -> kind = k
+                  | _ -> false)
+          in
+          check Alcotest.int
+            (Printf.sprintf "%s: traced agrees: %s" name
+               (Deptest.Counters.kind_name k))
+            (Deptest.Counters.applied counters k)
+            traced)
+        Deptest.Counters.all_kinds)
+    [ ("partition", Deptest.Pair_test.Partition_based);
+      ("subscript-wise", Deptest.Pair_test.Subscript_by_subscript) ]
 
 let suite =
   [
