@@ -1,4 +1,4 @@
-let schema_version = "deptest-diskcache/3"
+let schema_version = "deptest-diskcache/4"
 
 (* a resident value and the insertion that made it resident: a queue
    slot whose [seq] no longer matches is stale (its key was removed,

@@ -7,12 +7,12 @@
     store never looks inside a value: callers own the codec. The pair
     tier stores each verdict as its JSON text and decodes it on a hit
     (see [Deptest.Pair_cache]); the serve daemon's response tier stores
-    each rendered answer byte for byte, so a response hit decodes
-    nothing.
+    each routine's rendered answer byte for byte, so a response hit
+    decodes nothing.
 
     {b Segment format.} Three header lines, then the body:
     {v
-    deptest-diskcache/3\n
+    deptest-diskcache/4\n
     FINGERPRINT\n
     MD5-HEX-OF-BODY\n
     KLEN VLEN\n KEY VALUE   (one record per entry, insertion order)
@@ -40,9 +40,11 @@
 type t
 
 val schema_version : string
-(** ["deptest-diskcache/3"]: the length-framed, checksummed byte
-    segments above. Version 2 held JSON segments ([seg-N.json]) of
-    decoded trees; they load as invalid and the store starts empty. *)
+(** ["deptest-diskcache/4"]: the length-framed, checksummed byte
+    segments above. Version 4 changed no framing, only what the serve
+    daemon keys its responses by (one entry per routine, not per unit),
+    so a version-3 segment loads as invalid and the store starts empty,
+    as do version-2 JSON segments ([seg-N.json]) of decoded trees. *)
 
 val open_ : dir:string -> fingerprint:string -> ?capacity:int -> unit -> t
 (** Open (creating [dir] if needed) and load every valid segment.

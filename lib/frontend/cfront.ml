@@ -309,7 +309,15 @@ let parse_and_lower ?name src =
 let looks_like_c src =
   let has sub =
     let ns = String.length sub and n = String.length src in
-    let rec go i = i + ns <= n && (String.sub src i ns = sub || go (i + 1)) in
+    (* compared in place from each occurrence of the first byte: a
+       [String.sub] per position allocated as many strings as the
+       source has bytes *)
+    let rec at i j = j = ns || (src.[i + j] = sub.[j] && at i (j + 1)) in
+    let rec go i =
+      match String.index_from src i sub.[0] with
+      | j -> (j + ns <= n && at j 0) || go (j + 1)
+      | exception Not_found -> false
+    in
     go 0
   in
   has "for" && (has "(" && (has "[" || has "{"))

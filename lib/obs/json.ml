@@ -27,21 +27,13 @@ let escapes =
 
 let escaped = String.init 256 (fun i -> if escapes.(i) = "" then '0' else '1')
 
-(* copies each run of safe bytes with one blit, writing the escapes
-   between runs *)
-let escape_into buf s =
-  Buffer.add_char buf '"';
-  let start = ref 0 in
-  for i = 0 to String.length s - 1 do
-    let c = Char.code (String.unsafe_get s i) in
-    if String.unsafe_get escaped c = '1' then begin
-      Buffer.add_substring buf s !start (i - !start);
-      Buffer.add_string buf (Array.unsafe_get escapes c);
-      start := i + 1
-    end
-  done;
-  Buffer.add_substring buf s !start (String.length s - !start);
-  Buffer.add_char buf '"'
+module type SINK = sig
+  type t
+
+  val add_char : t -> char -> unit
+  val add_string : t -> string -> unit
+  val add_substring : t -> string -> int -> int -> unit
+end
 
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
@@ -50,34 +42,64 @@ let float_repr f =
     let short = Printf.sprintf "%.12g" f in
     if float_of_string short = f then short else s
 
-let rec print_into buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
-  | String s -> escape_into buf s
-  | List xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          print_into buf x)
-        xs;
-      Buffer.add_char buf ']'
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_into buf k;
-          Buffer.add_char buf ':';
-          print_into buf v)
-        fields;
-      Buffer.add_char buf '}'
+module Printer (S : SINK) = struct
+  (* copies each run of safe bytes with one blit, writing the escapes
+     between runs; the quotes are the caller's *)
+  let escape_body out s =
+    let start = ref 0 in
+    for i = 0 to String.length s - 1 do
+      let c = Char.code (String.unsafe_get s i) in
+      if String.unsafe_get escaped c = '1' then begin
+        S.add_substring out s !start (i - !start);
+        S.add_string out (Array.unsafe_get escapes c);
+        start := i + 1
+      end
+    done;
+    S.add_substring out s !start (String.length s - !start)
+
+  let string out s =
+    S.add_char out '"';
+    escape_body out s;
+    S.add_char out '"'
+
+  (* each byte escapes on its own, so the escaped parts concatenate to
+     the escaped whole *)
+  let string_of_parts out parts =
+    S.add_char out '"';
+    Array.iter (escape_body out) parts;
+    S.add_char out '"'
+
+  let rec value out = function
+    | Null -> S.add_string out "null"
+    | Bool b -> S.add_string out (if b then "true" else "false")
+    | Int i -> S.add_string out (string_of_int i)
+    | Float f -> S.add_string out (float_repr f)
+    | String s -> string out s
+    | List xs ->
+        S.add_char out '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then S.add_char out ',';
+            value out x)
+          xs;
+        S.add_char out ']'
+    | Obj fields ->
+        S.add_char out '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then S.add_char out ',';
+            string out k;
+            S.add_char out ':';
+            value out v)
+          fields;
+        S.add_char out '}'
+end
+
+module To_buffer = Printer (Buffer)
 
 let to_string v =
   let buf = Buffer.create 256 in
-  print_into buf v;
+  To_buffer.value buf v;
   Buffer.contents buf
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)

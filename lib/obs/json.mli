@@ -24,6 +24,29 @@ val to_string : t -> string
 (** Compact (single-line) rendering, stable byte for byte: the metrics
     and daemon output-parity tests pin it. *)
 
+module type SINK = sig
+  type t
+
+  val add_char : t -> char -> unit
+  val add_string : t -> string -> unit
+  val add_substring : t -> string -> int -> int -> unit
+end
+(** Where a {!Printer} writes: [Buffer] is one; the serve daemon's
+    reusable response frame ([Dt_support.Frame.Out]) is another. *)
+
+module Printer (S : SINK) : sig
+  val value : S.t -> t -> unit
+  (** The bytes {!to_string} returns, written into the sink. *)
+
+  val string : S.t -> string -> unit
+  (** [value (String s)]. *)
+
+  val string_of_parts : S.t -> string array -> unit
+  (** One JSON string whose text is the concatenation of the parts,
+      written without building that concatenation: the bytes of
+      [value (String (String.concat "" parts))]. *)
+end
+
 val pp : Format.formatter -> t -> unit
 (** Same compact rendering, onto a formatter. *)
 

@@ -38,7 +38,8 @@ val is_id : string -> bool
 (** Which tier of the daemon's cache hierarchy answered a request,
     coarsest first. *)
 type tier =
-  | Response  (** the rendered-response cache: no analysis at all *)
+  | Response  (** every routine from the rendered-response cache: no
+                    analysis at all *)
   | Disk  (** pair verdicts replayed from the disk store *)
   | Memo  (** pair verdicts replayed from the in-memory memo *)
   | Cold  (** the full test cascade ran *)

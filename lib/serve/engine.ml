@@ -9,7 +9,8 @@ module Metrics = Dt_obs.Metrics
 type cells = {
   requests : Metrics.cell;
   analyses : Metrics.cell;  (* analyze requests answered by running tests *)
-  response_hits : Metrics.cell;  (* answered whole from the response tier *)
+  response_hits : Metrics.cell;  (* routines answered from the response tier *)
+  response_misses : Metrics.cell;  (* routines it missed: parsed and analyzed *)
   errors : Metrics.cell;
   protocol_errors : Metrics.cell;  (* bad frames / JSON / unsupported version *)
   connections : Metrics.cell;  (* connections ever accepted *)
@@ -30,7 +31,9 @@ let register_cells m =
   let analyses =
     c "analyses_total" "Analyze requests that ran the test cascade." in
   let response_hits = c "response_hits_total"
-      "Analyze requests answered whole from the response cache." in
+      "Routines answered from the response cache." in
+  let response_misses = c "response_misses_total"
+      "Routines the response cache missed, analyzed and rendered." in
   let errors = c "errors_total" "Requests answered with an error." in
   let protocol_errors = c "protocol_errors_total"
       "Connections dropped on a framing, JSON, or version error." in
@@ -51,9 +54,9 @@ let register_cells m =
        closes, response delays)." in
   let queue_depth =
     g "queue_depth" "Requests waiting in the server's select queue." in
-  { requests; analyses; response_hits; errors; protocol_errors; connections;
-    in_flight; uptime; traced; shed; deadline_exceeded; restarts_total;
-    injected_faults; queue_depth }
+  { requests; analyses; response_hits; response_misses; errors;
+    protocol_errors; connections; in_flight; uptime; traced; shed;
+    deadline_exceeded; restarts_total; injected_faults; queue_depth }
 
 type t = {
   jobs : int;
@@ -79,13 +82,18 @@ type admission = { depth : int; waited_ns : int64 }
 
 let no_admission = { depth = 0; waited_ns = 0L }
 
-(* The hex MD5 of a request's source, computed once per analyze request:
-   it names the stored response and the ledger entry. *)
+(* The hex MD5 of a request's source: it names the ledger entry. *)
 let source_digest source = Digest.to_hex (Digest.string source)
 
-(* The store key prefix for rendered responses; pair verdicts use "p:"
-   (see Pair_cache). *)
-let response_key digest = "r:" ^ digest
+(* The response tier's key for the piece [start, stop) of a source (see
+   Dt_frontend.Split): the MD5 of the piece's text, under "r1:" when the
+   piece is the whole unit and "rn:" when it is one routine of several —
+   whether the unit has more than one routine decides the
+   "===== name =====" header, and nothing else outside a routine's own
+   text changes its answer. Pair verdicts use "p:" (see Pair_cache). *)
+let response_key ~many source start stop =
+  (if many then "rn:" else "r1:")
+  ^ Digest.to_hex (Digest.substring source start (stop - start))
 
 (* The store fingerprint covers the serve configuration's semantics
    (strategy, input pairs, cache, budget, deadline — not jobs), the cache
@@ -164,50 +172,118 @@ let parse source =
   | exception Dt_frontend.Lower.Error (msg, line) ->
       Error (Printf.sprintf "line %d: %s" line msg)
 
-let analyze_cold config source =
-  match parse source with
-  | Error _ as e -> e
-  | Ok progs ->
-      let results = Deptest.Analyze.run_all config progs in
-      Ok (Render.unit_ progs results)
+(* A request's pieces (Dt_frontend.Split) and what the response tier
+   holds for each: [found.(i)] is piece [i]'s rendered text, filled in
+   by [complete] for the pieces it computes. *)
+type pieces = {
+  cuts : int array;
+  keys : string array;
+  found : string option array;
+}
 
-(* The response-tier lookup, split out so the analyze path can decide
-   how much tracing machinery to set up before running anything. The
-   stored value is the rendered answer itself, and only undegraded
-   answers are stored, so a hit is the answer with 0 degraded pairs and
-   decodes nothing; on-disk damage is the segment checksum's to catch. *)
-let response_lookup t digest =
+let find_response t key =
   match t.store with
   | None -> None
   | Some store ->
-      let hit = Store.find store (response_key digest) in
-      if Option.is_some hit then bump t.c.response_hits;
+      let hit = Store.find store key in
+      bump
+        (if Option.is_some hit then t.c.response_hits
+         else t.c.response_misses);
       hit
 
-let persist_response t digest output degraded =
-  (* a degraded response reflects this run's faults or budget, not the
-     program: never persist it *)
-  match t.store with
-  | Some store when degraded = 0 ->
-      Store.add store (response_key digest) output
-  | _ -> ()
+(* The warm path: split, key and look up each piece. A stored text is
+   the rendered routine itself, and only undegraded routines are
+   stored, so a hit decodes nothing; on-disk damage is the segment
+   checksum's to catch. *)
+let lookup t source =
+  let cuts = Dt_frontend.Split.routines source in
+  let many = Array.length cuts > 2 in
+  let keys =
+    Array.init (Array.length cuts - 1) (fun i ->
+        response_key ~many source cuts.(i) cuts.(i + 1))
+  in
+  { cuts; keys; found = Array.map (find_response t) keys }
 
-(* A cold answer fills a missing response entry, so the next identical
-   request is a response hit. [config] differs from [t.config] at most
-   by a span profiler and a deadline (same memo cache, same store), so
-   caching behaves the same with tracing on or off. *)
-let analyze_and_persist t config digest source =
-  match analyze_cold config source with
+let missing p =
+  List.filter
+    (fun i -> Option.is_none p.found.(i))
+    (List.init (Array.length p.keys) Fun.id)
+
+let rec parse_pieces source cuts = function
+  | [] -> Ok []
+  | i :: rest -> (
+      match parse (String.sub source cuts.(i) (cuts.(i + 1) - cuts.(i))) with
+      | Error _ as e -> e
+      | Ok progs ->
+          Result.map
+            (fun tl -> (i, progs) :: tl)
+            (parse_pieces source cuts rest))
+
+(* the first [n] elements of [l], and the rest *)
+let rec split_at n l =
+  match l with
+  | x :: tl when n > 0 ->
+      let a, b = split_at (n - 1) tl in
+      (x :: a, b)
+  | _ -> ([], l)
+
+(* Parse, analyze (one run_all over every missed routine) and render
+   the pieces the response tier missed, persisting each undegraded one:
+   a degraded routine reflects this run's faults or budget, not the
+   program. [config] differs from [t.config] at most by a span profiler
+   and a deadline (same memo cache, same store), so caching behaves the
+   same with tracing on or off. *)
+let compute t config source p =
+  match parse_pieces source p.cuts (missing p) with
   | Error _ as e -> e
-  | Ok (output, degraded) as ok ->
-      persist_response t digest output degraded;
-      ok
+  | Ok parsed ->
+      let results =
+        Deptest.Analyze.run_all config (List.concat_map snd parsed)
+      in
+      let many = Array.length p.keys > 1 in
+      let _, degraded =
+        List.fold_left
+          (fun (results, degraded) (i, progs) ->
+            let mine, rest = split_at (List.length progs) results in
+            let text, d =
+              Render.routines ~many:(many || List.length progs > 1) progs mine
+            in
+            (match t.store with
+            | Some store when d = 0 -> Store.add store p.keys.(i) text
+            | _ -> ());
+            p.found.(i) <- Some text;
+            (rest, degraded + d))
+          (results, 0) parsed
+      in
+      Ok (Array.map Option.get p.found, degraded)
 
-let analyze_source t source =
-  let digest = source_digest source in
-  match response_lookup t digest with
-  | Some output -> Ok (output, 0)
-  | None -> analyze_and_persist t t.config digest source
+(* [Ok (parts, degraded)], the answer being the concatenation of
+   [parts], or [Error message]. A piece that does not parse sends the
+   whole unit through again as one piece, so the error is the one-shot
+   parse's, line numbers and all, and no piece of an erroring request
+   is answered. *)
+let complete t config source p =
+  match compute t config source p with
+  | Error _ when Array.length p.keys > 1 ->
+      let n = String.length source in
+      compute t config source
+        {
+          cuts = [| 0; n |];
+          keys = [| response_key ~many:false source 0 n |];
+          found = [| None |];
+        }
+  | r -> r
+
+let analyze_source ?deadline_ms t source =
+  let config =
+    match deadline_ms with
+    | None -> t.config
+    | Some _ -> Deptest.Analyze.Config.with_deadline_ms deadline_ms t.config
+  in
+  Result.map
+    (fun (parts, degraded) ->
+      (String.concat "" (Array.to_list parts), degraded))
+    (complete t config source (lookup t source))
 
 let warm t ?suite () =
   let entries =
@@ -254,6 +330,7 @@ let serve_json t =
       ("requests", Json.Int (get t.c.requests));
       ("analyses", Json.Int (get t.c.analyses));
       ("response_hits", Json.Int (get t.c.response_hits));
+      ("response_misses", Json.Int (get t.c.response_misses));
       ("errors", Json.Int (get t.c.errors));
       ("protocol_errors", Json.Int (get t.c.protocol_errors));
       ("connections", Json.Int (get t.c.connections));
@@ -296,12 +373,13 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
   let ts_ms = int_of_float (Unix.gettimeofday () *. 1000.) in
   let t0 = Dt_obs.Clock.now_ns () in
   let digest = source_digest source in
+  let pieces = lookup t source in
   let result, tier, wall_ns, spans =
-    match response_lookup t digest with
-    | Some output ->
-        (* the warm path: no profiler, no buffers — an armed capture is
-           one synthesized Request span, so always-on sampling costs
-           nothing where latency matters most *)
+    match missing pieces with
+    | [] ->
+        (* the warm path: every routine hit. No profiler, no buffers —
+           an armed capture is one synthesized Request span, so
+           always-on sampling costs nothing where latency matters most *)
         let wall_ns = Int64.sub (Dt_obs.Clock.now_ns ()) t0 in
         let spans =
           if armed && Reqtrace.Sampler.retain t.sampler ~wall_ns then
@@ -318,8 +396,9 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
             |]
           else [||]
         in
-        (Ok (output, 0), Reqtrace.Response, wall_ns, spans)
-    | None ->
+        (Ok (Array.map Option.get pieces.found, 0), Reqtrace.Response,
+         wall_ns, spans)
+    | _ :: _ ->
         let had_disk =
           match t.store with Some s -> Store.hits s | None -> 0
         in
@@ -349,13 +428,14 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
               (b, Dt_obs.Span.enter b Dt_obs.Span.Request))
             profiler
         in
-        let result = analyze_and_persist t config digest source in
+        let result = complete t config source pieces in
         let wall_ns = Int64.sub (Dt_obs.Clock.now_ns ()) t0 in
         note_analyze_wall t wall_ns;
         Option.iter (fun (b, slot) -> Dt_obs.Span.exit_ b slot) opened;
-        (* the coarsest cache tier that contributed to this answer,
-           detected by counter deltas around the request (requests are
-           handled one at a time, so the deltas are this request's) *)
+        (* the coarsest cache tier that contributed to the routines
+           computed, detected by counter deltas around [complete]
+           (requests are handled one at a time, so the deltas are this
+           request's) *)
         let tier =
           match result with
           | Error _ -> Reqtrace.None_
@@ -393,17 +473,20 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
   match result with
   | Ok (output, degraded) ->
       if tier <> Reqtrace.Response then bump t.c.analyses;
-      Protocol.ok
-        (("output", Json.String output)
-         :: ("degraded", Json.Int degraded)
-         :: ("trace_id", Json.String trace_id)
-         ::
-         (match id with
-         | None -> []
-         | Some i -> [ ("id", Json.String i) ]))
+      Protocol.Answer
+        {
+          output;
+          fields =
+            ("degraded", Json.Int degraded)
+            :: ("trace_id", Json.String trace_id)
+            ::
+            (match id with
+            | None -> []
+            | Some i -> [ ("id", Json.String i) ]);
+        }
   | Error msg ->
       bump t.c.errors;
-      Protocol.error msg
+      Protocol.Reply (Protocol.error msg)
 
 let entries_response t entries =
   Protocol.ok
@@ -437,14 +520,17 @@ let admit t admission ~deadline_ms =
       end
       else Ok remaining_ms
 
+let reply json = Protocol.Reply json
+
 let handle_op t admission req =
   match req with
   | Protocol.Analyze { source; id; trace_id; deadline_ms } -> (
       match admit t admission ~deadline_ms with
-      | Error shed_response -> shed_response
+      | Error shed_response -> Protocol.Reply shed_response
       | Ok deadline_ms -> handle_analyze t ~source ~id ~trace_id ~deadline_ms)
   | Protocol.Metrics { prometheus } ->
       sync_disk_metrics t;
+      reply @@
       if prometheus then begin
         Metrics.set t.c.uptime (uptime_ns t);
         Metrics.set t.c.traced (Reqtrace.Ring.total t.ring);
@@ -465,7 +551,7 @@ let handle_op t admission req =
             ("serve", serve_json t);
           ]
   | Protocol.Health ->
-      Protocol.ok
+      reply @@ Protocol.ok
         [
           ("status", Json.String "ok");
           ("jobs", Json.Int t.jobs);
@@ -506,9 +592,12 @@ let handle_op t admission req =
                     ("segments", Json.Int (Store.segments s));
                   ] );
         ]
-  | Protocol.Slow { n } -> entries_response t (Reqtrace.Ring.recent ?n t.ring)
-  | Protocol.Top { n } -> entries_response t (Reqtrace.Ring.top ?n t.ring)
+  | Protocol.Slow { n } ->
+      reply (entries_response t (Reqtrace.Ring.recent ?n t.ring))
+  | Protocol.Top { n } ->
+      reply (entries_response t (Reqtrace.Ring.top ?n t.ring))
   | Protocol.Trace_last { trace_id } -> (
+      reply @@
       let entry =
         match trace_id with
         | Some id -> Reqtrace.Ring.find t.ring id
@@ -531,10 +620,11 @@ let handle_op t admission req =
                 Dt_obs.Timeline.to_chrome ~process:("deptest req " ^ e.trace_id)
                   e.spans );
             ])
-  | Protocol.Flush -> Protocol.ok [ ("persisted", Json.Int (flush t)) ]
-  | Protocol.Shutdown -> Protocol.ok []
+  | Protocol.Flush ->
+      reply (Protocol.ok [ ("persisted", Json.Int (flush t)) ])
+  | Protocol.Shutdown -> reply (Protocol.ok [])
 
-let handle ?(admission = no_admission) t req =
+let respond ?(admission = no_admission) t req =
   bump t.c.requests;
   bump t.c.in_flight;
   let t0 = Dt_obs.Clock.now_ns () in
@@ -548,4 +638,6 @@ let handle ?(admission = no_admission) t req =
       try handle_op t admission req
       with e ->
         bump t.c.errors;
-        Protocol.error (Printexc.to_string e))
+        Protocol.Reply (Protocol.error (Printexc.to_string e)))
+
+let handle ?admission t req = Protocol.response_json (respond ?admission t req)

@@ -2,16 +2,24 @@
     optional disk store + metrics registry) serving every request.
 
     Two cache levels answer an analyze request:
-    + a response-level entry (key ["r:" ^ source-digest]) whose value
-      is the rendered verdict text, byte for byte — a whole round-trip
-      short-circuits and a hit decodes nothing;
+    + the response tier, at routine granularity. {!Dt_frontend.Split}
+      cuts the source into its routines without lexing; each piece is
+      keyed by the MD5 of its text and whether the unit has more than
+      one routine (["rn:"] or ["r1:"]), and its value is that routine's
+      rendered text, byte for byte. A request whose every routine hits
+      decodes nothing and parses nothing; an edited unit parses,
+      analyzes (one {!Deptest.Analyze.run_all}) and renders only the
+      routines that missed. A unit the scanner cannot split (line
+      continuations, C) is one piece;
     + the structural pair tier ({!Deptest.Pair_cache} over the same
-      {!Dt_engine.Store}, keys ["p:" ^ canonical-key]) — a cold response
-      over warm pairs still skips the test cascade.
+      {!Dt_engine.Store}, keys ["p:" ^ canonical-key]) — a missed
+      routine over warm pairs still skips the test cascade.
 
-    Responses containing degraded verdicts are never cached at either
-    level. All verdict text comes from {!Render}, so answers are
-    byte-identical to the one-shot [deptest analyze].
+    Degraded verdicts are never cached at either level: a routine with
+    a degraded pair is not stored, its undegraded siblings are. All
+    verdict text comes from {!Render}, so answers are byte-identical to
+    the one-shot [deptest analyze]; a piece that fails to parse sends
+    the whole unit through the one-shot parse, so errors are too.
 
     Every request is additionally observed ({!Dt_obs.Reqtrace}): timed
     into the per-endpoint latency histogram, and — for analyze — entered
@@ -106,10 +114,13 @@ val note_protocol_error : t -> unit
     truncated frame); counted into both [protocol_errors] and
     [errors]. *)
 
-val analyze_source : t -> string -> (string * int, string) result
+val analyze_source :
+  ?deadline_ms:int -> t -> string -> (string * int, string) result
 (** [Ok (rendered, degraded_pairs)] or [Error message] for a source
     text that does not parse. Used by [warm] and tests; the request
-    path ({!handle}) adds tracing around the same function. *)
+    path ({!respond}) adds tracing around the same lookup and
+    computation. [deadline_ms] is the analysis deadline
+    ({!Deptest.Analyze.Config}), none by default. *)
 
 val warm : t -> ?suite:string -> unit -> int
 (** Pre-analyze the workload corpus ({!Dt_workloads.Corpus}, optionally
@@ -119,7 +130,8 @@ val warm : t -> ?suite:string -> unit -> int
 val flush : t -> int
 (** Persist the disk store; the number of entries on disk after. *)
 
-val handle : ?admission:admission -> t -> Protocol.request -> Dt_obs.Json.t
+val respond :
+  ?admission:admission -> t -> Protocol.request -> Protocol.response
 (** Answer one request ([Shutdown] gets its [ok] response here too; the
     server loop decides to stop). Never raises.
 
@@ -133,3 +145,8 @@ val handle : ?admission:admission -> t -> Protocol.request -> Dt_obs.Json.t
     (request deadline minus queue wait) becomes the analysis deadline
     via {!Deptest.Analyze.Config}, degrading conservatively rather than
     overrunning. Sheds are counted ([shed_total]) but are not errors. *)
+
+val handle : ?admission:admission -> t -> Protocol.request -> Dt_obs.Json.t
+(** {!respond} as one JSON value ({!Protocol.response_json}): for
+    in-process callers. The server writes {!respond}'s answer into its
+    frame part by part instead. *)

@@ -110,6 +110,37 @@ let error msg =
 
 let ok fields = Json.Obj (("ok", Json.Bool true) :: fields)
 
+type response =
+  | Reply of Json.t
+  | Answer of { output : string array; fields : (string * Json.t) list }
+
+let response_json = function
+  | Reply json -> json
+  | Answer { output; fields } ->
+      ok (("output", Json.String (String.concat "" (Array.to_list output)))
+          :: fields)
+
+module Out = Dt_support.Frame.Out
+module Wire = Json.Printer (Out)
+
+(* the bytes of [Json.to_string (response_json r)], with an answer's
+   output escaped part by part *)
+let write_response out r =
+  Out.clear out;
+  match r with
+  | Reply json -> Wire.value out json
+  | Answer { output; fields } ->
+      Out.add_string out {|{"ok":true,"output":|};
+      Wire.string_of_parts out output;
+      List.iter
+        (fun (k, v) ->
+          Out.add_char out ',';
+          Wire.string out k;
+          Out.add_char out ':';
+          Wire.value out v)
+        fields;
+      Out.add_char out '}'
+
 let overloaded ~retry_after_ms =
   Json.Obj
     [

@@ -65,6 +65,26 @@ val error : string -> Dt_obs.Json.t
 val ok : (string * Dt_obs.Json.t) list -> Dt_obs.Json.t
 (** [{"ok":true, ...fields}]. *)
 
+(** What the daemon answers a request with. An analyze answer keeps
+    its output as the rendered routines' texts, in order, so the server
+    writes them into the response frame one after the other and never
+    builds the concatenated answer. *)
+type response =
+  | Reply of Dt_obs.Json.t
+  | Answer of {
+      output : string array;
+      fields : (string * Dt_obs.Json.t) list;
+    }
+      (** [{"ok":true,"output":OUTPUT,...fields}], [OUTPUT] being the
+          concatenation of [output]. *)
+
+val response_json : response -> Dt_obs.Json.t
+(** The response as one JSON value, for in-process callers. *)
+
+val write_response : Dt_support.Frame.Out.t -> response -> unit
+(** Replace the frame's payload with the response's JSON text: the
+    bytes of [Dt_obs.Json.to_string (response_json r)]. *)
+
 val overloaded : retry_after_ms:int -> Dt_obs.Json.t
 (** The admission-control shed response:
     [{"ok":false,"error":"overloaded","overloaded":true,

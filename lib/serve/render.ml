@@ -64,8 +64,7 @@ let routine ~many prog r = rendered 1024 (fun b -> add_routine b ~many prog r)
 (* A dependence line is about 50 bytes and a routine's listing and
    counter table a few hundred, so the buffer is sized from the
    dependence count once instead of doubling up from a fixed guess. *)
-let unit_ progs results =
-  let many = List.length progs > 1 in
+let routines ~many progs results =
   let size =
     List.fold_left
       (fun n (r : Deptest.Analyze.result) ->
@@ -76,3 +75,5 @@ let unit_ progs results =
       List.fold_left2
         (fun n p r -> n + add_routine buf ~many p r)
         0 progs results)
+
+let unit_ progs results = routines ~many:(List.length progs > 1) progs results

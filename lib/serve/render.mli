@@ -29,7 +29,16 @@ val routine :
 (** Full plain-path rendering of one routine: header, verdicts,
     warnings, counters. Returns the text and the degraded-pair count. *)
 
+val routines :
+  many:bool ->
+  Dt_ir.Nest.program list ->
+  Deptest.Analyze.result list ->
+  string * int
+(** {!routine} over consecutive routines of a unit, written into one
+    buffer sized from the dependence count. The serve daemon renders
+    each routine it recomputes this way, [many] being whether the
+    whole unit has more than one routine. *)
+
 val unit_ :
   Dt_ir.Nest.program list -> Deptest.Analyze.result list -> string * int
-(** {!routine} over a whole compilation unit ([many] inferred), written
-    into one buffer sized from the dependence count. *)
+(** {!routines} over a whole compilation unit, [many] inferred. *)

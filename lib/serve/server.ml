@@ -23,7 +23,9 @@ let kill_site = Inject.register "serve.kill"
    without threads. *)
 type step = Keep | Close | Stop
 
-let serve_frame ?admission engine fd =
+(* [out] is the daemon's one response frame, reused for every reply:
+   the answer is written into it once, header patched on send *)
+let serve_frame ?admission engine out fd =
   match Frame.read_r fd with
   | Ok None -> Close
   | Error e ->
@@ -34,9 +36,10 @@ let serve_frame ?admission engine fd =
          backed by real bytes, and draining would block the daemon. *)
       Engine.note_protocol_error engine;
       (try
-         Frame.write fd
-           (Json.to_string
-              (Protocol.error ("protocol error: " ^ Frame.error_message e)))
+         Protocol.write_response out
+           (Protocol.Reply
+              (Protocol.error ("protocol error: " ^ Frame.error_message e)));
+         Frame.Out.send fd out
        with
       | Unix.Unix_error _ | Invalid_argument _ -> ());
       Close
@@ -48,8 +51,8 @@ let serve_frame ?admission engine fd =
       in
       let response, stop =
         match req with
-        | Error msg -> (Protocol.error msg, false)
-        | Ok r -> (Engine.handle ?admission engine r, r = Protocol.Shutdown)
+        | Error msg -> (Protocol.Reply (Protocol.error msg), false)
+        | Ok r -> (Engine.respond ?admission engine r, r = Protocol.Shutdown)
       in
       (* response-path chaos: the request has executed; the faults decide
          what the client sees of the answer *)
@@ -62,14 +65,15 @@ let serve_frame ?admission engine fd =
           Engine.note_injected_fault engine;
           Inject.delay_spin ()
       | None -> ());
+      Protocol.write_response out response;
       match Inject.probe frame_close_site with
       | Some _ ->
           Engine.note_injected_fault engine;
-          (try Frame.write_truncated fd (Json.to_string response) with
+          (try Frame.Out.send_truncated fd out with
           | Unix.Unix_error _ | Invalid_argument _ -> ());
           Close
       | None -> (
-          match Frame.write fd (Json.to_string response) with
+          match Frame.Out.send fd out with
           | () -> if stop then Stop else Keep
           | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
               Close
@@ -93,6 +97,7 @@ let run ~socket ?(jobs = 0) ?cache_dir ?cache_capacity ?sample_period
       ?slow_threshold_ns ?ledger_recent ?ledger_top ?max_inflight
       ?queue_deadline_ms ?restarts ()
   in
+  let out = Frame.Out.create () in
   (match warm with
   | None -> ()
   | Some w ->
@@ -175,7 +180,7 @@ let run ~socket ?(jobs = 0) ?cache_dir ?cache_capacity ?sample_period
                       Int64.sub (Dt_obs.Clock.now_ns ()) enqueued_ns;
                   }
                 in
-                match serve_frame ~admission engine fd with
+                match serve_frame ~admission engine out fd with
                 | Keep -> ()
                 | Close -> drop fd
                 | Stop ->

@@ -61,6 +61,57 @@ let write_truncated fd payload =
   Bytes.blit_string payload 0 buf 4 sent;
   write_all fd buf 0 (4 + sent)
 
+module Out = struct
+  (* bytes [4, len) are the payload; [0, 4) the header, set on send *)
+  type t = { mutable bytes : Bytes.t; mutable len : int }
+
+  let initial = 4096
+  let create () = { bytes = Bytes.create initial; len = 4 }
+
+  let clear t =
+    (* a buffer grown for one outsized reply (a trace export) is not
+       kept for the replies after it *)
+    if Bytes.length t.bytes > 1 lsl 20 then t.bytes <- Bytes.create initial;
+    t.len <- 4
+
+  let grow t need =
+    let cap = ref (2 * Bytes.length t.bytes) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    let b = Bytes.create !cap in
+    Bytes.blit t.bytes 0 b 0 t.len;
+    t.bytes <- b
+
+  let add_char t c =
+    if t.len >= Bytes.length t.bytes then grow t (t.len + 1);
+    Bytes.unsafe_set t.bytes t.len c;
+    t.len <- t.len + 1
+
+  let add_substring t s off n =
+    if t.len + n > Bytes.length t.bytes then grow t (t.len + n);
+    Bytes.blit_string s off t.bytes t.len n;
+    t.len <- t.len + n
+
+  let add_string t s = add_substring t s 0 (String.length s)
+
+  let header t what =
+    let len = t.len - 4 in
+    if len > max_frame then
+      invalid_arg
+        (Printf.sprintf "%s: payload %d > max %d" what len max_frame);
+    Bytes.set_int32_be t.bytes 0 (Int32.of_int len);
+    len
+
+  let send fd t =
+    let len = header t "Frame.Out.send" in
+    write_all fd t.bytes 0 (4 + len)
+
+  let send_truncated fd t =
+    let len = header t "Frame.Out.send_truncated" in
+    write_all fd t.bytes 0 (4 + (len / 2))
+end
+
 type error = Truncated | Oversize of int | Timeout
 
 let error_message = function

@@ -19,6 +19,36 @@ val write_truncated : Unix.file_descr -> string -> unit
     observes a mid-frame end-of-stream. Exercises the receiver's
     [Truncated] containment path deterministically. *)
 
+(** A reusable frame for a sender that writes many: one growable byte
+    buffer holding the 4-byte header and the payload after it. The
+    payload is written in place ({!Out.add_string} and friends, a
+    [Dt_obs.Json.SINK]) and the header is patched when the frame is
+    sent, so a frame costs no allocation once the buffer has grown to
+    the sender's usual size, and its bytes are never copied into
+    another buffer before [write]. The bytes on the wire are those of
+    {!write} and {!write_truncated} for the same payload. *)
+module Out : sig
+  type t
+
+  val create : unit -> t
+
+  val clear : t -> unit
+  (** Start a new, empty payload. A buffer grown past 1 MiB is
+      released here rather than kept. *)
+
+  val add_char : t -> char -> unit
+  val add_string : t -> string -> unit
+  val add_substring : t -> string -> int -> int -> unit
+
+  val send : Unix.file_descr -> t -> unit
+  (** {!write} of the payload: raises [Invalid_argument] over
+      {!max_frame} (nothing is sent) and [Unix.Unix_error] on a broken
+      peer. *)
+
+  val send_truncated : Unix.file_descr -> t -> unit
+  (** {!write_truncated} of the payload. *)
+end
+
 type error =
   | Truncated  (** end-of-stream inside a header or payload *)
   | Oversize of int

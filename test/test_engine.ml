@@ -262,27 +262,8 @@ let test_facts_digest_order_free () =
 module Generator = Dt_workloads.Generator
 
 (* Unit [i] of the miv-batch stream of the end-to-end benchmark
-   (bench/e2e/units.ml, [fresh]): eight routines of deep, triangular,
-   coupled subscripts, odd units with a symbolic outer bound, routine [r]
-   of nest depth [1 + r mod 4]; [miv_source] is its text *)
-let miv_source ~seed i =
-  let st = Random.State.make [| seed; 6; i |] in
-  let cfg =
-    { Generator.default with
-      Generator.max_depth = 4;
-      max_bound = 8;
-      triangular = true;
-      symbolic_hi = i mod 2 = 1 }
-  in
-  let routine r =
-    let rec draw () =
-      let p = Generator.program st cfg ~stmts:6 in
-      if Nest.max_depth p = 1 + (r mod 4) then p else draw ()
-    in
-    Dt_frontend.Emit.program
-      { (draw ()) with Nest.name = Printf.sprintf "U%dR%d" i r }
-  in
-  String.concat "" (List.init 8 routine)
+   (bench/e2e/units.ml, [fresh]) *)
+let miv_source = E2e_units.fresh
 
 let miv_unit ~seed i = Dt_frontend.Lower.parse_unit (miv_source ~seed i)
 

@@ -406,9 +406,9 @@ let test_store_flipped_verdict () =
     (in_process_output ~disk:store2 ())
 
 (* Cross-run counts over the 87 corpus units through the daemon's engine
-   (one job, so the counts are deterministic). The numbers are those of
-   the JSON-tree store this one replaced: only the representation
-   changed, not what is cached or hit. *)
+   (one job, so the counts are deterministic): 241 pair entries and one
+   response entry per routine — 89, since solver_pipeline has three
+   routines and every other unit one. *)
 let test_store_corpus_cross_run () =
   let dir = tmpdir () in
   let run e =
@@ -429,16 +429,16 @@ let test_store_corpus_cross_run () =
   check string "corpus answers digest" "b4c35e5b36a48b13f511cebc1ee49251"
     (Digest.to_hex (Digest.string (String.concat "\x00" cold)));
   check int "cold run: disk hits" 0 (Store.hits s);
-  check int "cold run: disk misses" 328 (Store.misses s);
-  check int "cold run: entries" 328 (Store.length s);
-  check int "flushed" 328 (Dt_serve.Engine.flush e);
+  check int "cold run: disk misses" 330 (Store.misses s);
+  check int "cold run: entries" 330 (Store.length s);
+  check int "flushed" 330 (Dt_serve.Engine.flush e);
   let e2 = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
   let s2 = Option.get (Dt_serve.Engine.store e2) in
-  check int "reopened entries" 328 (Store.length s2);
+  check int "reopened entries" 330 (Store.length s2);
   check int "reopened resident bytes" (Store.resident_bytes s)
     (Store.resident_bytes s2);
   let warm = run e2 in
-  check int "reopened: response hits" 87 (Store.hits s2);
+  check int "reopened: response hits" 89 (Store.hits s2);
   check int "reopened: misses" 0 (Store.misses s2);
   check (Alcotest.list string) "answers byte-identical across the reopen"
     cold warm;
@@ -451,7 +451,7 @@ let test_store_corpus_cross_run () =
         fst (Dt_serve.Render.unit_ progs (Deptest.Analyze.run_all cfg progs)))
       Dt_workloads.Corpus.all
   in
-  check int "pair tier: disk hits" (87 + 241) (Store.hits s2);
+  check int "pair tier: disk hits" (89 + 241) (Store.hits s2);
   check int "pair tier: disk misses" 0 (Store.misses s2);
   check int "nothing invalid" 0 (Store.invalid s2);
   check (Alcotest.list string) "pair-tier answers byte-identical" cold pairs
@@ -471,6 +471,33 @@ let test_disk_tier_parity () =
   check string "disk-warm = cold" baseline warm;
   check bool "disk hits occurred" true (Store.hits store2 > 0)
 
+let one_shot source =
+  let progs = Dt_frontend.Lower.parse_unit source in
+  fst
+    (Dt_serve.Render.unit_ progs
+       (Deptest.Analyze.run_all (Deptest.Analyze.Config.make ~jobs:1 ()) progs))
+
+let rec json_path keys j =
+  match keys with
+  | [] -> j
+  | k :: rest -> (
+      match Json.member k j with
+      | Some v -> json_path rest v
+      | None -> Alcotest.failf "no %s in the answer" k)
+
+let int_at e op keys =
+  match json_path keys (Dt_serve.Engine.handle e op) with
+  | Json.Int n -> n
+  | _ -> Alcotest.failf "%s is not an int" (String.concat "." keys)
+
+let serve_count e k = int_at e (Dt_serve.Protocol.Metrics { prometheus = false }) [ "serve"; k ]
+
+let answered e tier =
+  int_at e (Dt_serve.Protocol.Metrics { prometheus = false })
+    [ "metrics"; "serve"; "answered"; tier ]
+
+let memo e k = int_at e Dt_serve.Protocol.Health [ "cache"; k ]
+
 let test_degraded_never_persisted () =
   (* deadline 0 deterministically degrades every pair *)
   let dir = tmpdir () in
@@ -481,7 +508,28 @@ let test_degraded_never_persisted () =
   let _, degraded = Dt_serve.Render.unit_ progs results in
   check bool "run did degrade" true (degraded > 0);
   check int "no degraded entry reached the disk tier" 0 (Store.length store);
-  check int "flush persists nothing" 0 (Store.flush store)
+  check int "flush persists nothing" 0 (Store.flush store);
+  (* through the engine, on a unit of two routines: the deadline
+     degrades TSERVE's pairs, and QUIET has no statement to pair *)
+  let quiet = "      SUBROUTINE QUIET\n   10 CONTINUE\n      END\n" in
+  let unit_ = src ^ quiet in
+  let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:(tmpdir ()) () in
+  let store = Option.get (Dt_serve.Engine.store e) in
+  (match Dt_serve.Engine.analyze_source ~deadline_ms:0 e unit_ with
+  | Ok (_, degraded) -> check bool "the engine run degraded" true (degraded > 0)
+  | Error msg -> Alcotest.fail msg);
+  check (Alcotest.list string) "only the undegraded routine is stored"
+    [ "rn:" ^ Digest.to_hex (Digest.string quiet) ]
+    (Store.fold store ~init:[] ~f:(fun acc k _ -> k :: acc));
+  let misses = serve_count e "response_misses" in
+  (match Dt_serve.Engine.analyze_source e unit_ with
+  | Ok (out, degraded) ->
+      check int "the next request degrades nothing" 0 degraded;
+      check string "and answers as one-shot" (one_shot unit_) out
+  | Error msg -> Alcotest.fail msg);
+  check int "it recomputes only the degraded routine" (misses + 1)
+    (serve_count e "response_misses");
+  check int "and hits its sibling" 1 (serve_count e "response_hits")
 
 let test_injected_fault_never_persisted () =
   let dir = tmpdir () in
@@ -886,7 +934,7 @@ let test_slow_ledger_end_to_end () =
   | Some (Json.List (e :: _)) ->
       check bool "entry has endpoint analyze" true
         (Json.member "endpoint" e = Some (Json.String "analyze"));
-      (* the same digest names the stored response ("r:" ^ digest) *)
+      (* the ledger names the source by its MD5 *)
       check bool "entry has the source digest" true
         (Json.member "source_digest" e
         = Some (Json.String (Digest.to_hex (Digest.string src))));
@@ -1223,6 +1271,335 @@ let prop_dep_printer =
       Buffer.contents buf = "x" ^ want
       && Format.asprintf "%a" Deptest.Dep.pp d = want)
 
+
+(* --- routine-granular response tier ------------------------------------ *)
+
+module Split = Dt_frontend.Split
+module Ast = Dt_frontend.Ast
+
+let rec shift_stmt d = function
+  | Ast.Assign a -> Ast.Assign { a with line = a.line + d }
+  | Ast.Continue c -> Ast.Continue { c with line = c.line + d }
+  | Ast.Do x ->
+      Ast.Do { x with line = x.line + d; body = List.map (shift_stmt d) x.body }
+
+let shift d (p : Ast.program) = { p with Ast.body = List.map (shift_stmt d) p.Ast.body }
+
+let lines_before s stop =
+  let n = ref 0 in
+  for i = 0 to stop - 1 do
+    if s.[i] = '\n' then incr n
+  done;
+  !n
+
+let pieces src =
+  let cuts = Split.routines src in
+  List.init (Array.length cuts - 1) (fun i ->
+      (cuts.(i), String.sub src cuts.(i) (cuts.(i + 1) - cuts.(i))))
+
+(* Each piece parses on its own to the routines the whole unit's parse
+   gives, line numbers offset by the piece's first line; a split piece
+   holds one routine. Returns the number of pieces. *)
+let check_split label src =
+  let cuts = Split.routines src in
+  check int (label ^ ": cuts span the unit") (String.length src)
+    cuts.(Array.length cuts - 1);
+  let ps = pieces src in
+  let parsed =
+    List.map
+      (fun (start, text) ->
+        List.map (shift (lines_before src start)) (Dt_frontend.Parser.parse_unit text))
+      ps
+  in
+  if List.length ps > 1 then
+    List.iter
+      (fun progs -> check int (label ^ ": one routine per piece") 1 (List.length progs))
+      parsed;
+  check bool (label ^ ": pieces parse to the unit's routines") true
+    (List.concat parsed = Dt_frontend.Parser.parse_unit src);
+  List.length ps
+
+let base_units = lazy (E2e_units.base ~seed:1 ~units:64)
+let base_sources () = Array.map E2e_units.source (Lazy.force base_units)
+
+let test_split_partition () =
+  List.iter
+    (fun (e : Dt_workloads.Corpus.entry) ->
+      ignore (check_split e.Dt_workloads.Corpus.name e.Dt_workloads.Corpus.source))
+    Dt_workloads.Corpus.all;
+  Array.iteri
+    (fun i s ->
+      check int (Printf.sprintf "base unit %d: 8 pieces" i) 8
+        (check_split (Printf.sprintf "base unit %d" i) s))
+    (base_sources ());
+  for i = 0 to 199 do
+    let s = E2e_units.edit ~seed:1 (Lazy.force base_units) i in
+    check int (Printf.sprintf "edit %d: 8 pieces" i) 8
+      (check_split (Printf.sprintf "edit %d" i) s)
+  done
+
+let routine_b = "      PROGRAM B\n      Y(1) = 0\n      END\n"
+
+(* [(label, source, pieces)]: sources the scanner must cut as the parser
+   does, and sources it cannot vouch for (one piece though the unit has
+   several routines) *)
+let split_cases =
+  [
+    ("lowercase end", "      program a\n      x = 1\n      end\n" ^ routine_b, 2);
+    ( "END DO ends the routine, ENDDO and END_DO do not",
+      "      PROGRAM A\n      DO I = 1, 10\n        X(I) = 0\n      ENDDO\n\
+      \      DO J = 1, 10\n        X(J) = 1\n      END_DO\n      END DO\n"
+      ^ routine_b,
+      2 );
+    ( "END PROGRAM X",
+      "      PROGRAM X\n      A(1) = 0\n      END PROGRAM X\n\
+      \      SUBROUTINE S(N)\n      B(1) = 0\n      End Subroutine S\n",
+      2 );
+    ("labelled END", "      PROGRAM A\n      X = 1\n   99 END\n" ^ routine_b, 2);
+    ("label glued to END", "      PROGRAM A\n      X = 1\n99END\n" ^ routine_b, 2);
+    ( "comment lines naming END",
+      "      PROGRAM A\nC     END\nc end\n*     END\n      ! END\n      X = 1\n\
+      \      END ! of A\n" ^ routine_b,
+      2 );
+    ( "blank and comment lines between and after routines",
+      "\nC leading\n      PROGRAM A\n      X = 1\n      END\n\n   \nC between\n\
+      \      PROGRAM B\n      Y(1) = 0\n      END\n\nC trailing\n  ! trailing\n\n",
+      2 );
+    ("headerless MAIN first", "      X = 1\n      END\n" ^ routine_b, 2);
+    ( "headerless MAIN after the last END",
+      "      PROGRAM A\n      X = 1\n      END\n      Y = 2\n",
+      2 );
+    ("one routine", "      PROGRAM A\n      X = 1\n      END\n", 1);
+    ("an END-like word", "      PROGRAM A\n      ENDX = 1\n      END\n" ^ routine_b, 2);
+    ( "& continuation",
+      "      PROGRAM A\n      X = 1 + &\n      2\n      END\n" ^ routine_b,
+      1 );
+    ( "column-6 continuation",
+      "      PROGRAM A\n      X = 1 +\n     1  2\n      END\n" ^ routine_b,
+      1 );
+    ( "C source, with lines a Fortran scan would cut after",
+      "void f(int n, double a[], int end) {\n  for (int i = 0; i < n; i++) {\n\
+      \    end = i;\n    a[i] = a[end] + 1;\n    end = 0;\n  }\n}\n",
+      1 );
+  ]
+
+let test_split_hand_cases () =
+  List.iter
+    (fun (label, src, want) ->
+      check int (label ^ ": pieces") want (List.length (pieces src));
+      if not (Dt_frontend.Cfront.looks_like_c src) then ignore (check_split label src))
+    split_cases;
+  (* the unsure cases do have several routines: one piece is the
+     fallback, not the unit's shape *)
+  List.iter
+    (fun label ->
+      let _, src, _ = List.find (fun (l, _, _) -> l = label) split_cases in
+      check int (label ^ ": two routines") 2
+        (List.length (Dt_frontend.Parser.parse_unit src)))
+    [ "& continuation"; "column-6 continuation" ];
+  (* the scan allocates its result and nothing per line: a unit with
+     thousands more lines and as many routines allocates as much *)
+  let words src =
+    let before = Gc.minor_words () in
+    ignore (Split.routines src);
+    Gc.minor_words () -. before
+  in
+  let short = "      PROGRAM A\n      X = 1\n      END\n" ^ routine_b in
+  let long =
+    "      PROGRAM A\n"
+    ^ String.concat ""
+        (List.init 6000 (fun i ->
+             if i mod 3 = 0 then "C     A COMMENT\n" else "      X = 1 ! set\n"))
+    ^ "      END\n" ^ routine_b
+  in
+  check (Alcotest.float 0.) "no allocation per line" (words short) (words long)
+
+(* the one-shot CLI's load error text (bin/deptest_cli.ml, [load_unit]),
+   without the file name *)
+let one_shot_error source =
+  match Dt_frontend.Lower.parse_unit source with
+  | _ -> Alcotest.fail "source parsed"
+  | exception Dt_frontend.Lexer.Error (msg, line) ->
+      Printf.sprintf "line %d: lexical error: %s" line msg
+  | exception Dt_frontend.Parser.Error (msg, line) ->
+      Printf.sprintf "line %d: syntax error: %s" line msg
+  | exception Dt_frontend.Lower.Error (msg, line) ->
+      Printf.sprintf "line %d: %s" line msg
+
+let analyze_request source =
+  Dt_serve.Protocol.Analyze { source; id = None; trace_id = None; deadline_ms = None }
+
+(* an error in routine k of an eight-routine unit whose other routines
+   the response tier holds: the daemon names the one-shot error, with
+   the line counted from the start of the unit, and answers nothing *)
+let test_error_parity () =
+  let routines = (Lazy.force base_units).(0) in
+  let dir = tmpdir () in
+  let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  let store = Option.get (Dt_serve.Engine.store e) in
+  ignore (Dt_serve.Engine.analyze_source e (E2e_units.source routines));
+  let with_lines edits =
+    E2e_units.source
+      (Array.mapi
+         (fun r text ->
+           match List.assoc_opt (r + 1) edits with
+           | None -> text
+           | Some bad ->
+               (* after the routine's header line *)
+               let nl = String.index text '\n' in
+               String.sub text 0 (nl + 1) ^ bad
+               ^ String.sub text (nl + 1) (String.length text - nl - 1))
+         routines)
+  in
+  let lexical = "      X = 1 $ 2\n"
+  and syntax = "      X = = 1\n"
+  and lowering = "      DO I = 1, 10, N\n      ENDDO\n" in
+  let cases =
+    List.concat_map
+      (fun k ->
+        [
+          (Printf.sprintf "lexical error in routine %d" k, [ (k, lexical) ]);
+          (Printf.sprintf "syntax error in routine %d" k, [ (k, syntax) ]);
+          (Printf.sprintf "lowering error in routine %d" k, [ (k, lowering) ]);
+        ])
+      [ 1; 4; 8 ]
+    @ [
+        (* the one-shot path lexes the whole unit before parsing any of it *)
+        ("syntax error in 1, lexical error in 8", [ (1, syntax); (8, lexical) ]);
+        ("lowering error in 1, syntax error in 4", [ (1, lowering); (4, syntax) ]);
+      ]
+  in
+  List.iter
+    (fun (label, edits) ->
+      let source = with_lines edits in
+      let entries = Store.length store in
+      let resp = Dt_serve.Engine.handle e (analyze_request source) in
+      check bool (label ^ ": an error response") true
+        (Json.member "ok" resp = Some (Json.Bool false)
+        && Json.member "output" resp = None);
+      check string (label ^ ": the one-shot error text") (one_shot_error source)
+        (match Json.member "error" resp with
+        | Some (Json.String m) -> m
+        | _ -> Alcotest.fail "no error message");
+      check int (label ^ ": nothing stored") entries (Store.length store))
+    cases
+
+let output_of_handle e source =
+  match Json.member "output" (Dt_serve.Engine.handle e (analyze_request source)) with
+  | Some (Json.String s) -> s
+  | _ -> Alcotest.fail "analyze failed"
+
+(* A fixed edit sequence at one job: the store seeded with the 64 base
+   units, a restart, then 32 seed-1 serve-edit requests and the 64 base
+   units again. Each edit misses the one routine it changed and hits the
+   other seven; each repeat hits all eight. *)
+let test_pinned_edit_counts () =
+  let dir = tmpdir () in
+  let bases = base_sources () in
+  let seed = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  Array.iter (fun s -> ignore (Dt_serve.Engine.analyze_source seed s)) bases;
+  check int "seeded: 512 routines missed" 512 (serve_count seed "response_misses");
+  ignore (Dt_serve.Engine.flush seed);
+  let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  let store = Option.get (Dt_serve.Engine.store e) in
+  let seeded = Store.length store in
+  (* 512 routines and the 14 476 pairs the seeding run missed *)
+  check int "seeded store entries" 14_988 seeded;
+  let edits = List.init 32 (E2e_units.edit ~seed:1 (Lazy.force base_units)) in
+  List.iteri
+    (fun i s ->
+      check string (Printf.sprintf "edit %d = one-shot" i) (one_shot s)
+        (output_of_handle e s))
+    edits;
+  check int "edits: routine hits" (32 * 7) (serve_count e "response_hits");
+  check int "edits: routine misses" 32 (serve_count e "response_misses");
+  (* only the 32 changed routines reach the pair tier *)
+  check int "edits: memo hits" 23 (memo e "memo_hits");
+  check int "edits: memo misses" 913 (memo e "memo_misses");
+  check int "edits: new store entries (32 routines, 913 pairs)" 945
+    (Store.length store - seeded);
+  Array.iteri
+    (fun i s ->
+      check string (Printf.sprintf "base unit %d = one-shot" i) (one_shot s)
+        (output_of_handle e s))
+    bases;
+  check int "repeats: routine hits" ((32 * 7) + 512) (serve_count e "response_hits");
+  check int "repeats: routine misses" 32 (serve_count e "response_misses");
+  check int "every repeat answered on the response tier" 64 (answered e "response");
+  check int "repeats: no memo hit" 23 (memo e "memo_hits");
+  check int "repeats: no memo miss" 913 (memo e "memo_misses");
+  check int "repeats: no new entry" (seeded + 945) (Store.length store)
+
+(* a diskcache/3 store, written by the unit-keyed response tier: it must
+   read as invalid and the engine answer as if cold *)
+let test_schema_3_store () =
+  let dir = tmpdir () in
+  let baseline = in_process_output () in
+  write_file (Filename.concat dir "seg-0.bin")
+    (segment_text ~schema:"deptest-diskcache/3"
+       ~fingerprint:(Dt_serve.Engine.store_fingerprint ~build:Dt_obs.Build_id.git)
+       [ ("r:" ^ Digest.to_hex (Digest.string src), "a stale answer\n") ]);
+  let e = Dt_serve.Engine.create ~cache_dir:dir () in
+  let store = Option.get (Dt_serve.Engine.store e) in
+  check int "opens cold" 0 (Store.length store);
+  check int "counted invalid" 1 (Store.invalid store);
+  check int "disk_invalid" 1
+    (int_at e (Dt_serve.Protocol.Metrics { prometheus = false })
+       [ "metrics"; "cache"; "disk_invalid" ]);
+  check string "answers byte-identically" baseline (output_of_handle e src)
+
+(* the bytes a frame carries on the wire, written to a file *)
+let frame_bytes write =
+  let path = Filename.concat (tmpdir ()) "frame" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let raised =
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        match write fd with () -> false | exception Invalid_argument _ -> true)
+  in
+  (read_file path, raised)
+
+(* the reusable response frame sends exactly what Frame.write of the
+   response's JSON text sends, answers split into parts included *)
+let test_response_frame () =
+  let out = Frame.Out.create () in
+  let answer parts =
+    Dt_serve.Protocol.Answer
+      {
+        output = parts;
+        fields = [ ("degraded", Json.Int 0); ("trace_id", Json.String "0123456789abcdef") ];
+      }
+  in
+  let awkward_mb =
+    String.init (1 lsl 20) (fun i ->
+        match i mod 97 with 0 -> '\n' | 1 -> '"' | 2 -> '\\' | 3 -> '\001' | _ -> 'a')
+  in
+  let same label ?(truncated = false) r =
+    let text = Json.to_string (Dt_serve.Protocol.response_json r) in
+    let want =
+      frame_bytes (fun fd ->
+          if truncated then Frame.write_truncated fd text else Frame.write fd text)
+    in
+    let got =
+      frame_bytes (fun fd ->
+          Dt_serve.Protocol.write_response out r;
+          if truncated then Frame.Out.send_truncated fd out else Frame.Out.send fd out)
+    in
+    check bool (label ^ ": same refusal") (snd want) (snd got);
+    check string (label ^ ": same bytes") (fst want) (fst got)
+  in
+  same "small reply" (Dt_serve.Protocol.Reply (Dt_serve.Protocol.ok []));
+  same "small answer" (answer [| "PROGRAM A\n"; ""; "no dependences\n" |]);
+  same "1 MB answer in parts"
+    (answer [| String.sub awkward_mb 0 1000; String.sub awkward_mb 1000 ((1 lsl 20) - 1000) |]);
+  same "1 MB reply" (Dt_serve.Protocol.Reply (Dt_serve.Protocol.ok [ ("output", Json.String awkward_mb) ]));
+  same "truncated (frame_close)" ~truncated:true (answer [| awkward_mb |]);
+  same "small answer after a large one" (answer [| "x"; "y\n" |]);
+  let over = answer (Array.make 17 (String.make (1 lsl 20) 'a')) in
+  same "over the 16 MiB cap: refused" over;
+  check bool "refused, nothing sent" true (frame_bytes (fun fd ->
+      Dt_serve.Protocol.write_response out over; Frame.Out.send fd out) = ("", true));
+  same "small answer after a refused one" (answer [| "z" |])
+
 let suite =
   [
     ("frame round-trip", `Quick, test_frame_roundtrip);
@@ -1271,4 +1648,10 @@ let suite =
     ("oversize frame connection", `Quick, test_oversize_frame_connection);
     ("render parity vs Format oracle", `Quick, test_render_parity);
     prop_dep_printer;
+    ("split equals the parser's partition", `Quick, test_split_partition);
+    ("split hand cases", `Quick, test_split_hand_cases);
+    ("error parity across routines", `Quick, test_error_parity);
+    ("pinned counts on a fixed edit sequence", `Quick, test_pinned_edit_counts);
+    ("diskcache/3 store opens cold", `Quick, test_schema_3_store);
+    ("response frame bytes = Frame.write", `Quick, test_response_frame);
   ]
