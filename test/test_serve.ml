@@ -1556,7 +1556,9 @@ let frame_bytes write =
     Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
         match write fd with () -> false | exception Invalid_argument _ -> true)
   in
-  (read_file path, raised)
+  let bytes = read_file path in
+  Sys.remove path;
+  (bytes, raised)
 
 (* the reusable response frame sends exactly what Frame.write of the
    response's JSON text sends, answers split into parts included *)
