@@ -7,6 +7,27 @@ let is_alpha c =
 
 let is_alnum c = is_alpha c || is_digit c
 
+(* The line rules, on the bytes [i, e) of [src] so that Split can apply
+   them to a whole unit without copying a line: Split cuts units into
+   routines with these, so a new line rule goes here, not in
+   [logical_lines]. *)
+
+let comment_line src i e =
+  e > i && (src.[i] = 'C' || src.[i] = 'c' || src.[i] = '*')
+
+(* columns 1-5 blank, column 6 neither blank nor '0' *)
+let continuation_line src i e =
+  e - i >= 6
+  && src.[i] = ' ' && src.[i + 1] = ' ' && src.[i + 2] = ' '
+  && src.[i + 3] = ' ' && src.[i + 4] = ' '
+  && src.[i + 5] <> ' ' && src.[i + 5] <> '0'
+
+(* String.trim's blanks *)
+let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\n' || c = '\012'
+
+let rec last_kept src i e =
+  if e > i && is_space src.[e - 1] then last_kept src i (e - 1) else e - 1
+
 (* Pre-process: drop comment lines, handle '&' continuations and the
    classic column-6 continuation convention, strip '!' comments. *)
 let logical_lines src =
@@ -16,23 +37,15 @@ let logical_lines src =
     | Some k -> String.sub line 0 k
     | None -> line
   in
-  let is_comment line =
-    String.length line > 0 && (line.[0] = 'C' || line.[0] = 'c' || line.[0] = '*')
-  in
-  let is_continuation line =
-    (* columns 1-5 blank, column 6 non-blank non-zero *)
-    String.length line >= 6
-    && String.for_all (fun c -> c = ' ') (String.sub line 0 5)
-    && line.[5] <> ' ' && line.[5] <> '0'
-  in
   let rec go acc lineno = function
     | [] -> List.rev acc
     | line :: rest ->
-        if is_comment line then go acc (lineno + 1) rest
+        if comment_line line 0 (String.length line) then go acc (lineno + 1) rest
         else
           let line = strip_inline_comment line in
-          if String.trim line = "" then go acc (lineno + 1) rest
-          else if is_continuation line then
+          let n = String.length line in
+          if last_kept line 0 n < 0 then go acc (lineno + 1) rest
+          else if continuation_line line 0 n then
             let cont = String.sub line 6 (String.length line - 6) in
             match acc with
             | (prev_no, prev) :: acc' ->
@@ -40,17 +53,16 @@ let logical_lines src =
             | [] -> raise (Error ("continuation with no previous line", lineno))
           else
             (* trailing '&' splices the next line too *)
-            let line = String.trim line in
-            if String.length line > 0 && line.[String.length line - 1] = '&'
-            then
+            if line.[last_kept line 0 n] = '&' then
               match rest with
               | next :: rest' ->
+                  let line = String.trim line in
                   let joined =
                     String.sub line 0 (String.length line - 1) ^ " " ^ next
                   in
                   go acc lineno (joined :: rest')
               | [] -> raise (Error ("dangling '&'", lineno))
-            else go ((lineno, line) :: acc) (lineno + 1) rest
+            else go ((lineno, String.trim line) :: acc) (lineno + 1) rest
   in
   go [] 1 raw
 

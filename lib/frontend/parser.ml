@@ -159,7 +159,9 @@ let parse_raw_stmt st : raw option =
           Some (Rcontinue { label; line = ln })
       | Token.IDENT "END" ->
           advance st;
-          (* swallow END / END PROGRAM etc. *)
+          (* swallow END / END PROGRAM etc. Split.is_end reads the same
+             rule off the raw line (a label, then the word END) to cut a
+             unit into routines: change both together *)
           while peek st <> Token.NEWLINE && peek st <> Token.EOF do
             advance st
           done;

@@ -1,14 +1,9 @@
 (* One pass over the source by offsets: no line is copied and no token
-   is built, so the cost is a byte scan plus the result array. The
-   predicates mirror Lexer.logical_lines and Parser.parse_raw_stmt. *)
+   is built, so the cost is a byte scan plus the result array. Lines are
+   classified by the lexer's own line rules; [is_end] mirrors the END
+   case of Parser.parse_raw_stmt. *)
 
 exception Unsure
-
-let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
-
-let is_word c =
-  (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c = '_'
-  || (c >= '0' && c <= '9')
 
 (* What one pass over a line learns besides its end, kept in one record
    per scan so that no line allocates: the line's first '!' (the end of
@@ -40,20 +35,8 @@ let rec skip_digits src i e =
   if i < e && src.[i] >= '0' && src.[i] <= '9' then skip_digits src (i + 1) e
   else i
 
-(* the index of the last byte of [i, e) that String.trim keeps, or
-   [i - 1] when the line is blank *)
-let rec last_kept src i e =
-  if e > i && is_space src.[e - 1] then last_kept src i (e - 1) else e - 1
-
-(* columns 1-5 blank and column 6 neither blank nor '0' *)
-let continuation src i e =
-  e - i >= 6
-  && src.[i] = ' ' && src.[i + 1] = ' ' && src.[i + 2] = ' '
-  && src.[i + 3] = ' ' && src.[i + 4] = ' '
-  && src.[i + 5] <> ' ' && src.[i + 5] <> '0'
-
 let rec word_end src j e =
-  if j < e && is_word src.[j] then word_end src (j + 1) e else j
+  if j < e && Lexer.is_alnum src.[j] then word_end src (j + 1) e else j
 
 (* the statement [i, e) is an END: an optional label, then the word END *)
 let is_end src i e =
@@ -76,13 +59,13 @@ let cuts st src =
       st.bang <- -1;
       let e = line_end st src n i in
       let next = e + 1 in
-      let c = src.[i] in
-      if i = e || c = 'C' || c = 'c' || c = '*' then go next ends open_
+      if Lexer.comment_line src i e then go next ends open_
       else
         let s = if st.bang < 0 then e else st.bang in
-        let last = last_kept src i s in
+        let last = Lexer.last_kept src i s in
         if last < i then go next ends open_
-        else if src.[last] = '&' || continuation src i s then raise Unsure
+        else if src.[last] = '&' || Lexer.continuation_line src i s then
+          raise Unsure
         else if is_end src i s then go next (min next n :: ends) false
         else go next ends true
     end

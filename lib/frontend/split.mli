@@ -3,10 +3,11 @@
     A line scanner that cuts a mini-Fortran unit after each [END]
     statement, so that parsing each piece on its own gives the routines
     {!Parser.parse_unit} gives for the whole unit (line numbers counted
-    from the start of the piece). It classifies lines as
-    {!Lexer.tokenize} does: a comment line has ['C'], ['c'] or ['*'] in
-    column one, text from a ['!'] on is dropped, and a line that is
-    blank after that carries no statement. A statement line ends its
+    from the start of the piece). It classifies lines with the lexer's
+    own line rules ({!Lexer.comment_line}, {!Lexer.last_kept},
+    {!Lexer.continuation_line}): a comment line has ['C'], ['c'] or
+    ['*'] in column one, text from a ['!'] on is dropped, and a line
+    that is blank after that carries no statement. A statement line ends its
     routine when its first word, after at most one numeric label, is
     [END] in any case: [END], [END DO], [END PROGRAM X] and [10 END]
     do, [ENDDO] and [END_DO] do not — the parser reads the same words

@@ -41,7 +41,7 @@ let tiers = [ Response; Disk; Memo; Cold; None_ ]
 type entry = {
   trace_id : string;
   endpoint : string;
-  source_digest : string;
+  source_digest : string Lazy.t;
   tier : tier;
   degraded : int;
   error : bool;
@@ -55,7 +55,7 @@ let entry_to_json e =
     [
       ("trace_id", Json.String e.trace_id);
       ("endpoint", Json.String e.endpoint);
-      ("source_digest", Json.String e.source_digest);
+      ("source_digest", Json.String (Lazy.force e.source_digest));
       ("tier", Json.String (tier_name e.tier));
       ("degraded", Json.Int e.degraded);
       ("error", Json.Bool e.error);

@@ -53,7 +53,10 @@ val tiers : tier list
 type entry = {
   trace_id : string;
   endpoint : string;  (** protocol op slug, e.g. ["analyze"] *)
-  source_digest : string;  (** MD5 hex of the source; [""] otherwise *)
+  source_digest : string Lazy.t;
+      (** MD5 hex of the source, computed when the entry is first read,
+          so a request pays no second hash of its source; until then
+          the entry holds the source *)
   tier : tier;
   degraded : int;  (** pairs degraded conservatively in this request *)
   error : bool;  (** the request was answered with an error *)

@@ -82,9 +82,6 @@ type admission = { depth : int; waited_ns : int64 }
 
 let no_admission = { depth = 0; waited_ns = 0L }
 
-(* The hex MD5 of a request's source: it names the ledger entry. *)
-let source_digest source = Digest.to_hex (Digest.string source)
-
 (* The response tier's key for the piece [start, stop) of a source (see
    Dt_frontend.Split): the MD5 of the piece's text, under "r1:" when the
    piece is the whole unit and "rn:" when it is one routine of several —
@@ -274,16 +271,11 @@ let complete t config source p =
         }
   | r -> r
 
-let analyze_source ?deadline_ms t source =
-  let config =
-    match deadline_ms with
-    | None -> t.config
-    | Some _ -> Deptest.Analyze.Config.with_deadline_ms deadline_ms t.config
-  in
+let analyze_source t source =
   Result.map
     (fun (parts, degraded) ->
       (String.concat "" (Array.to_list parts), degraded))
-    (complete t config source (lookup t source))
+    (complete t t.config source (lookup t source))
 
 let warm t ?suite () =
   let entries =
@@ -372,7 +364,6 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
   let armed = Reqtrace.Sampler.arm t.sampler in
   let ts_ms = int_of_float (Unix.gettimeofday () *. 1000.) in
   let t0 = Dt_obs.Clock.now_ns () in
-  let digest = source_digest source in
   let pieces = lookup t source in
   let result, tier, wall_ns, spans =
     match missing pieces with
@@ -461,7 +452,9 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
     {
       trace_id;
       endpoint = "analyze";
-      source_digest = digest;
+      (* the ledger names the source by its MD5, hashed only if the
+         entry is read: the lookup above already hashed each piece *)
+      source_digest = lazy (Digest.to_hex (Digest.string source));
       tier;
       degraded;
       error = Result.is_error result;

@@ -114,13 +114,11 @@ val note_protocol_error : t -> unit
     truncated frame); counted into both [protocol_errors] and
     [errors]. *)
 
-val analyze_source :
-  ?deadline_ms:int -> t -> string -> (string * int, string) result
+val analyze_source : t -> string -> (string * int, string) result
 (** [Ok (rendered, degraded_pairs)] or [Error message] for a source
     text that does not parse. Used by [warm] and tests; the request
     path ({!respond}) adds tracing around the same lookup and
-    computation. [deadline_ms] is the analysis deadline
-    ({!Deptest.Analyze.Config}), none by default. *)
+    computation. *)
 
 val warm : t -> ?suite:string -> unit -> int
 (** Pre-analyze the workload corpus ({!Dt_workloads.Corpus}, optionally

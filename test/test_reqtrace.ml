@@ -13,7 +13,7 @@ let entry ?(trace_id = Reqtrace.gen_id ()) ?(spans = [||]) ?(wall_ns = 0L) ()
   {
     Reqtrace.trace_id;
     endpoint = "analyze";
-    source_digest = "d41d8cd98f00b204e9800998ecf8427e";
+    source_digest = lazy "d41d8cd98f00b204e9800998ecf8427e";
     tier = Reqtrace.Cold;
     degraded = 0;
     error = false;

@@ -509,15 +509,19 @@ let test_degraded_never_persisted () =
   check bool "run did degrade" true (degraded > 0);
   check int "no degraded entry reached the disk tier" 0 (Store.length store);
   check int "flush persists nothing" 0 (Store.flush store);
-  (* through the engine, on a unit of two routines: the deadline
-     degrades TSERVE's pairs, and QUIET has no statement to pair *)
+  (* through the engine, on a unit of two routines: injected faults
+     degrade TSERVE's pairs, and QUIET has no statement to pair (jobs 1:
+     the inject harness is single-domain only) *)
   let quiet = "      SUBROUTINE QUIET\n   10 CONTINUE\n      END\n" in
   let unit_ = src ^ quiet in
   let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:(tmpdir ()) () in
   let store = Option.get (Dt_serve.Engine.store e) in
-  (match Dt_serve.Engine.analyze_source ~deadline_ms:0 e unit_ with
-  | Ok (_, degraded) -> check bool "the engine run degraded" true (degraded > 0)
-  | Error msg -> Alcotest.fail msg);
+  Dt_guard.Inject.enable ~period:2 [ Dt_guard.Inject.Exception ];
+  Fun.protect ~finally:Dt_guard.Inject.disable (fun () ->
+      match Dt_serve.Engine.analyze_source e unit_ with
+      | Ok (_, degraded) ->
+          check bool "the engine run degraded" true (degraded > 0)
+      | Error msg -> Alcotest.fail msg);
   check (Alcotest.list string) "only the undegraded routine is stored"
     [ "rn:" ^ Digest.to_hex (Digest.string quiet) ]
     (Store.fold store ~init:[] ~f:(fun acc k _ -> k :: acc));
