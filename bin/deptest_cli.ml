@@ -888,10 +888,10 @@ let serve_cmd =
       & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
-            "Directory for the persistent verdict cache: versioned, \
-             fingerprinted, checksummed segments written atomically; \
-             corrupt or stale segments are skipped (counted in the \
-             metrics) and rebuilt.")
+            "Directory for the persistent store of rendered routine \
+             answers: versioned, fingerprinted, checksummed segments \
+             written atomically; corrupt or stale segments are skipped \
+             (counted in the metrics) and rebuilt.")
   in
   let cache_capacity_arg =
     Arg.(

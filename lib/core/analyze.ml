@@ -20,7 +20,7 @@ module Config = struct
 
   let make ?(strategy = Pair_test.Partition_based) ?(include_inputs = false)
       ?(assume = Assume.empty) ?(jobs = 0) ?(grain = 0) ?(cache = true)
-      ?cache_capacity ?disk ?metrics ?sink ?profiler ?budget ?deadline_ms () =
+      ?cache_capacity ?metrics ?sink ?profiler ?budget ?deadline_ms () =
     {
       strategy;
       include_inputs;
@@ -29,7 +29,7 @@ module Config = struct
       grain;
       cache =
         (if cache then
-           Some (Pair_cache.create ?capacity:cache_capacity ?disk ())
+           Some (Pair_cache.create ?capacity:cache_capacity ())
          else None);
       metrics;
       sink;
@@ -495,10 +495,7 @@ let snapshot_cache ~metrics ~cache =
   match (metrics, cache) with
   | Some m, Some c ->
       Dt_obs.Metrics.set_cache_usage m ~size:(Pair_cache.length c)
-        ~evictions:(Pair_cache.evictions c);
-      Dt_obs.Metrics.set_disk_cache m ~hits:(Pair_cache.disk_hits c)
-        ~misses:(Pair_cache.disk_misses c)
-        ~invalid:(Pair_cache.disk_invalid c)
+        ~evictions:(Pair_cache.evictions c)
   | _ -> ()
 
 (* sequential orientation pass, in enumeration order: bit-identical to

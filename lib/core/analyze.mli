@@ -33,7 +33,6 @@ module Config : sig
     ?grain:int ->
     ?cache:bool ->
     ?cache_capacity:int ->
-    ?disk:Dt_engine.Store.t ->
     ?metrics:Dt_obs.Metrics.t ->
     ?sink:Dt_obs.Trace.sink ->
     ?profiler:Dt_obs.Span.profiler ->
@@ -65,13 +64,7 @@ module Config : sig
       being tested ([deadline_ms = 0] degrades every pair —
       deterministic, used by the fault harness). Both degradations are
       counted in the metrics' guard block and recorded in the pair's
-      [meta.degraded]; degraded verdicts are never cached.
-
-      [disk] attaches a persistent {!Dt_engine.Store} under the memo
-      cache (see {!Pair_cache}): memo misses fall through to disk,
-      verdicts write through, and [run] snapshots the disk hit / miss /
-      invalid counters into [metrics]. Requires [cache = true] (the
-      default) to have any effect. *)
+      [meta.degraded]; degraded verdicts are never cached. *)
 
   val default : t
   (** [make ()] evaluated once: note that every [run default] therefore

@@ -48,8 +48,8 @@ val merge : t list list -> t list
     full loop list, '*' on indices the partition does not constrain):
     position-wise intersection of one choice from each set; empty results
     dropped. Duplicates removed, and the list sorted by {!compare}: the
-    [--explain]/[--trace] verdict text and the persisted verdicts of the
-    disk cache list a pair's vectors in this order. (The dependence list
+    [--explain]/[--trace] verdict text and the memo's stored verdicts
+    list a pair's vectors in this order. (The dependence list
     itself is re-sorted by the orientation pass.)
 
     Vectors are merged as strings of one rank byte per level (see

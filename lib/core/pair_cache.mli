@@ -21,23 +21,15 @@
     executed, plus explicit cache hit/miss counts.
 
     The table is domain-safe (see {!Dt_engine.Memo}); concurrent workers
-    of the parallel engine share one cache.
-
-    Disk tier: with [?disk] the cache is two-tiered — a memo miss falls
-    through to the {!Dt_engine.Store} under key ["p:" ^ canonical-key],
-    whose value is the entry's JSON text. A disk hit is parsed and
-    validated (text that fails [Json.of_string] or the entry decoder
-    counts invalid, is removed, and the pair recomputes cold), promoted
-    into the memo, and rehydrated exactly like a memo hit; every store
-    writes through to disk. Degraded verdicts are filtered again at this layer: they are
-    never persisted, even if a caller were to hand one in. *)
+    of the parallel engine share one cache. It lives for the process:
+    what outlives a run is the serve daemon's store of rendered routine
+    answers, not pair verdicts. *)
 
 type t
 
-val create : ?capacity:int -> ?disk:Dt_engine.Store.t -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] bounds the resident entries (FIFO eviction past it, see
-    {!Dt_engine.Memo}); omitted means unbounded. [disk] adds the
-    persistent write-through tier. *)
+    {!Dt_engine.Memo}); omitted means unbounded. *)
 
 val find : t -> Dt_engine.Key.t -> counters:Counters.t -> Pair_test.t option
 (** On a hit, returns the rehydrated result and replays the entry's
@@ -55,11 +47,3 @@ val length : t -> int
 val evictions : t -> int
 (** Entries dropped by capacity eviction. *)
 
-val disk_hits : t -> int
-val disk_misses : t -> int
-
-val disk_invalid : t -> int
-(** Disk-tier statistics; all zero without a [disk] store. *)
-
-val flush : t -> int
-(** Persist the disk tier ({!Dt_engine.Store.flush}); [0] without one. *)

@@ -33,12 +33,7 @@
     string and the mapping. Canonical ids come from a scan of a small
     index array (physical equality first, then {!Dt_ir.Index.equal}),
     each affine form's terms are insertion-sorted by id, and the names
-    ["%0"], ["%1"], ... come from a precomputed table.
-
-    {b JSON-safe.} Persisted keys are disk-store keys (["p:" ^ key]). The
-    structural characters are printable ASCII; symbols and nonlinear
-    source text are embedded verbatim and escaped by the JSON codec like
-    any other string, so a key survives the store's round trip. *)
+    ["%0"], ["%1"], ... come from a precomputed table. *)
 
 open Dt_ir
 

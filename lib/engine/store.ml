@@ -1,4 +1,4 @@
-let schema_version = "deptest-diskcache/4"
+let schema_version = "deptest-diskcache/5"
 
 (* a resident value and the insertion that made it resident: a queue
    slot whose [seq] no longer matches is stale (its key was removed,
@@ -207,8 +207,6 @@ let remove t k =
   match Hashtbl.find_opt t.tbl k with
   | Some e -> drop t k e
   | None -> ()
-
-let note_invalid t = locked t @@ fun () -> t.invalid <- t.invalid + 1
 
 (* the live entries in insertion order: queue slots whose entry is
    still the one they inserted *)

@@ -1,18 +1,14 @@
 (** A disk-backed, versioned key-value store of bytes.
 
-    This is the persistence tier under the in-process memo cache: string
-    keys (the {!Key} canonical form, or any other string) mapped to
-    string values, held resident in one hash table and persisted as
-    numbered segment files [seg-N.bin] under a cache directory. The
-    store never looks inside a value: callers own the codec. The pair
-    tier stores each verdict as its JSON text and decodes it on a hit
-    (see [Deptest.Pair_cache]); the serve daemon's response tier stores
-    each routine's rendered answer byte for byte, so a response hit
-    decodes nothing.
+    String keys mapped to string values, held resident in one hash
+    table and persisted as numbered segment files [seg-N.bin] under a
+    cache directory. The store never looks inside a value. Its one user
+    is the serve daemon's response tier, which stores each routine's
+    rendered answer byte for byte, so a hit decodes nothing.
 
     {b Segment format.} Three header lines, then the body:
     {v
-    deptest-diskcache/4\n
+    deptest-diskcache/5\n
     FINGERPRINT\n
     MD5-HEX-OF-BODY\n
     KLEN VLEN\n KEY VALUE   (one record per entry, insertion order)
@@ -40,11 +36,13 @@
 type t
 
 val schema_version : string
-(** ["deptest-diskcache/4"]: the length-framed, checksummed byte
-    segments above. Version 4 changed no framing, only what the serve
-    daemon keys its responses by (one entry per routine, not per unit),
-    so a version-3 segment loads as invalid and the store starts empty,
-    as do version-2 JSON segments ([seg-N.json]) of decoded trees. *)
+(** ["deptest-diskcache/5"]: the length-framed, checksummed byte
+    segments above. Versions 4 and 5 changed no framing, only what the
+    store holds: version 4 keyed the serve daemon's responses by
+    routine, not unit, and version 5 drops the pair verdicts
+    (["p:"] entries) that version 4 held beside them. An older segment
+    loads as invalid and the store starts empty, as do version-2 JSON
+    segments ([seg-N.json]) of decoded trees. *)
 
 val open_ : dir:string -> fingerprint:string -> ?capacity:int -> unit -> t
 (** Open (creating [dir] if needed) and load every valid segment.
@@ -67,12 +65,7 @@ val add : t -> string -> string -> unit
     immediately and durable after the next {!flush}. *)
 
 val remove : t -> string -> unit
-(** Drop a resident entry (e.g. one whose value failed to decode).
-    Does not count as an eviction. *)
-
-val note_invalid : t -> unit
-(** Count an invalid cache object found outside segment loading — a
-    resident value that failed its caller's validating decode. *)
+(** Drop a resident entry. Does not count as an eviction. *)
 
 val flush : t -> int
 (** Persist: write all resident entries as one new segment and unlink
@@ -90,8 +83,8 @@ val hits : t -> int
 val misses : t -> int
 
 val invalid : t -> int
-(** Invalid segments, tmp and version-2 leftovers, and undecodable
-    values seen. *)
+(** Invalid segments, and tmp and version-2 leftovers, seen when
+    opening. *)
 
 val evictions : t -> int
 val segments : t -> int

@@ -29,7 +29,8 @@ let rec last_kept src i e =
   if e > i && is_space src.[e - 1] then last_kept src i (e - 1) else e - 1
 
 (* Pre-process: drop comment lines, handle '&' continuations and the
-   classic column-6 continuation convention, strip '!' comments. *)
+   classic column-6 continuation convention, strip '!' comments. Each
+   logical line carries the number of its first physical line. *)
 let logical_lines src =
   let raw = String.split_on_char '\n' src in
   let strip_inline_comment line =
@@ -51,18 +52,22 @@ let logical_lines src =
             | (prev_no, prev) :: acc' ->
                 go ((prev_no, prev ^ " " ^ cont) :: acc') (lineno + 1) rest
             | [] -> raise (Error ("continuation with no previous line", lineno))
-          else
-            (* trailing '&' splices the next line too *)
-            if line.[last_kept line 0 n] = '&' then
-              match rest with
-              | next :: rest' ->
-                  let line = String.trim line in
-                  let joined =
-                    String.sub line 0 (String.length line - 1) ^ " " ^ next
-                  in
-                  go acc lineno (joined :: rest')
-              | [] -> raise (Error ("dangling '&'", lineno))
-            else go ((lineno, String.trim line) :: acc) (lineno + 1) rest
+          else statement acc lineno (String.trim line) (lineno + 1) rest
+  (* [text], begun on line [first], is a statement: a trailing '&'
+     splices the next physical line [next_no] into it, and the joined
+     text stays a statement (never re-read as a comment line) *)
+  and statement acc first text next_no rest =
+    let n = String.length text in
+    if n > 0 && text.[n - 1] = '&' then
+      match rest with
+      | next :: rest' ->
+          let joined =
+            String.sub text 0 (n - 1) ^ " " ^ strip_inline_comment next
+          in
+          statement acc first (String.trim joined) (next_no + 1) rest'
+      | [] -> raise (Error ("dangling '&'", first))
+    else if n = 0 then go acc next_no rest
+    else go ((first, text) :: acc) next_no rest
   in
   go [] 1 raw
 

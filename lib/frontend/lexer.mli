@@ -4,7 +4,9 @@
     lines start with 'C', 'c' or '*' in column one, or '!' anywhere
     (to end of line). Identifiers are case-insensitive and uppercased.
     Continuation lines (a non-blank character in column six after five
-    blanks, or an '&' at the end of the previous line) splice lines. *)
+    blanks, or an '&' at the end of the previous line) splice lines; a
+    spliced statement is numbered by its first line, and is a statement
+    whatever its first letter. *)
 
 exception Error of string * int  (** message, line *)
 

@@ -155,13 +155,13 @@ module F = struct
       "deptest_cache_evictions_total"
       "Memo-cache entries dropped by capacity eviction."
   let disk_hits = declare ~rule:Max Counter "deptest_disk_cache_hits_total"
-      "Verdicts served by the disk-backed cross-run store."
+      "Routine answers served by the disk-backed cross-run store."
   let disk_misses = declare ~rule:Max Counter "deptest_disk_cache_misses_total"
       "Disk-store lookup misses."
   let disk_invalid = declare ~rule:Max Counter
       "deptest_disk_cache_invalid_total"
-      "Invalid disk-cache objects skipped (corrupt segments, tmp leftovers, \
-       undecodable entries)."
+      "Invalid disk-cache objects skipped (corrupt or stale segments, tmp \
+       leftovers)."
   let bj_compile = declare Counter "deptest_banerjee_kernel_compilations_total"
       "Subscript pairs compiled into the linear-form kernel."
   let bj_nodes = declare ~label:"path" ~fixed:[ "incremental"; "scratch" ]
@@ -194,8 +194,8 @@ module F = struct
       "Whole-request daemon latency in nanoseconds, by protocol endpoint."
   let answered = declare ~optional:true ~label:"tier" Counter
       "deptest_serve_answered_total"
-      "Analyze requests answered, by cache tier (response / disk / memo / \
-       cold) or none for non-analyze and failed requests."
+      "Analyze requests answered, by cache tier (response / memo / cold) or \
+       none for non-analyze and failed requests."
 end
 
 let builtins = Array.of_list (List.rev !declared)

@@ -27,16 +27,15 @@ let is_id s =
 
 (* ------------------------------------------------------------------ *)
 
-type tier = Response | Disk | Memo | Cold | None_
+type tier = Response | Memo | Cold | None_
 
 let tier_name = function
   | Response -> "response"
-  | Disk -> "disk"
   | Memo -> "memo"
   | Cold -> "cold"
   | None_ -> "none"
 
-let tiers = [ Response; Disk; Memo; Cold; None_ ]
+let tiers = [ Response; Memo; Cold; None_ ]
 
 type entry = {
   trace_id : string;

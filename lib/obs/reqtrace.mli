@@ -40,7 +40,6 @@ val is_id : string -> bool
 type tier =
   | Response  (** every routine from the rendered-response cache: no
                     analysis at all *)
-  | Disk  (** pair verdicts replayed from the disk store *)
   | Memo  (** pair verdicts replayed from the in-memory memo *)
   | Cold  (** the full test cascade ran *)
   | None_  (** not an analysis (metrics, health, ...) or an error *)

@@ -87,7 +87,7 @@ let no_admission = { depth = 0; waited_ns = 0L }
    piece is the whole unit and "rn:" when it is one routine of several —
    whether the unit has more than one routine decides the
    "===== name =====" header, and nothing else outside a routine's own
-   text changes its answer. Pair verdicts use "p:" (see Pair_cache). *)
+   text changes its answer. *)
 let response_key ~many source start stop =
   (if many then "rn:" else "r1:")
   ^ Digest.to_hex (Digest.substring source start (stop - start))
@@ -121,7 +121,7 @@ let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
       cache_dir
   in
   let config =
-    Deptest.Analyze.Config.make ~jobs ?cache_capacity ?disk:store ~metrics ()
+    Deptest.Analyze.Config.make ~jobs ?cache_capacity ~metrics ()
   in
   {
     jobs;
@@ -390,9 +390,6 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
         (Ok (Array.map Option.get pieces.found, 0), Reqtrace.Response,
          wall_ns, spans)
     | _ :: _ ->
-        let had_disk =
-          match t.store with Some s -> Store.hits s | None -> 0
-        in
         let had_memo = Metrics.cache_hits t.metrics in
         let profiler =
           if armed then Some (Dt_obs.Span.profiler ()) else None
@@ -423,21 +420,15 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
         let wall_ns = Int64.sub (Dt_obs.Clock.now_ns ()) t0 in
         note_analyze_wall t wall_ns;
         Option.iter (fun (b, slot) -> Dt_obs.Span.exit_ b slot) opened;
-        (* the coarsest cache tier that contributed to the routines
-           computed, detected by counter deltas around [complete]
-           (requests are handled one at a time, so the deltas are this
+        (* whether the memo contributed to the routines computed,
+           detected by the hit counter's delta around [complete]
+           (requests are handled one at a time, so the delta is this
            request's) *)
         let tier =
           match result with
           | Error _ -> Reqtrace.None_
-          | Ok _ ->
-              if
-                (match t.store with Some s -> Store.hits s | None -> 0)
-                > had_disk
-              then Reqtrace.Disk
-              else if Metrics.cache_hits t.metrics > had_memo then
-                Reqtrace.Memo
-              else Reqtrace.Cold
+          | Ok _ when Metrics.cache_hits t.metrics > had_memo -> Reqtrace.Memo
+          | Ok _ -> Reqtrace.Cold
         in
         let spans =
           match profiler with

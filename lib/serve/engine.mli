@@ -2,18 +2,19 @@
     optional disk store + metrics registry) serving every request.
 
     Two cache levels answer an analyze request:
-    + the response tier, at routine granularity. {!Dt_frontend.Split}
-      cuts the source into its routines without lexing; each piece is
-      keyed by the MD5 of its text and whether the unit has more than
-      one routine (["rn:"] or ["r1:"]), and its value is that routine's
-      rendered text, byte for byte. A request whose every routine hits
-      decodes nothing and parses nothing; an edited unit parses,
-      analyzes (one {!Deptest.Analyze.run_all}) and renders only the
-      routines that missed. A unit the scanner cannot split (line
-      continuations, C) is one piece;
-    + the structural pair tier ({!Deptest.Pair_cache} over the same
-      {!Dt_engine.Store}, keys ["p:" ^ canonical-key]) — a missed
-      routine over warm pairs still skips the test cascade.
+    + the response tier, at routine granularity, held in the optional
+      {!Dt_engine.Store}. {!Dt_frontend.Split} cuts the source into its
+      routines without lexing; each piece is keyed by the MD5 of its
+      text and whether the unit has more than one routine (["rn:"] or
+      ["r1:"]), and its value is that routine's rendered text, byte for
+      byte. A request whose every routine hits decodes nothing and
+      parses nothing; an edited unit parses, analyzes (one
+      {!Deptest.Analyze.run_all}) and renders only the routines that
+      missed. A unit the scanner cannot split (line continuations, C)
+      is one piece. These rendered routines are all the store holds;
+    + the in-process structural memo ({!Deptest.Pair_cache}) — a
+      missed routine whose pairs this process has already tested skips
+      the test cascade for them.
 
     Degraded verdicts are never cached at either level: a routine with
     a degraded pair is not stored, its undegraded siblings are. All
@@ -62,7 +63,7 @@ val create :
 (** [jobs] is resolved through {!Dt_support.Pool.clamp_auto} (never
     oversubscribe). [cache_dir] attaches the persistent store, keyed by
     {!store_fingerprint} of this build; omitted means in-memory only.
-    [cache_capacity] bounds both tiers.
+    [cache_capacity] bounds both the memo and the store.
 
     [sample_period] (default 1: every request) arms span capture on
     every n-th analyze, [0] never; [slow_threshold_ns] (default 0: keep

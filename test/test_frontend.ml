@@ -32,6 +32,55 @@ let test_lexer_continuation () =
     (List.length
        (List.filter (fun t -> t.Dt_frontend.Token.tok = Dt_frontend.Token.NEWLINE) toks))
 
+(* A statement joined by a trailing '&' is a statement, whatever its
+   first letter: [C(I) = &] must not read as a comment line once joined.
+   The joined and the one-line forms give the same answer, one-shot and
+   through the daemon's engine. *)
+let test_ampersand_statement () =
+  let unit_ body =
+    "      PROGRAM P\n      DO 10 I = 1, 10\n" ^ body ^ "   10 CONTINUE\n      END\n"
+  in
+  let joined = unit_ "      C(I) = &\n      C(I+1)\n"
+  and one_line = unit_ "      C(I) = C(I+1)\n" in
+  let one_shot source =
+    let progs = Dt_frontend.Lower.parse_unit source in
+    fst
+      (Dt_serve.Render.unit_ progs
+         (Deptest.Analyze.run_all (Deptest.Analyze.Config.make ~jobs:1 ()) progs))
+  in
+  let want = one_shot one_line in
+  check Alcotest.bool "the one-line form finds the carried anti dependence" true
+    (Astring_contains.contains want "S0 -anti-> S0 C (<) carried level 1 d_I=1");
+  check Alcotest.string "joined = one line, one-shot" want (one_shot joined);
+  match Dt_serve.Engine.analyze_source (Dt_serve.Engine.create ~jobs:1 ()) joined with
+  | Ok (out, _) -> check Alcotest.string "joined = one line, engine" want out
+  | Error msg -> Alcotest.fail msg
+
+(* A joined statement keeps its first line's number, and the lines after
+   it keep their physical numbers. *)
+let test_ampersand_line_numbers () =
+  let src =
+    "      PROGRAM P\n      DO 10 I = 1, 10\n      A(I) = &\n      A(I+1)\n\
+    \      X = = 1\n   10 CONTINUE\n      END\n"
+  in
+  let line_of ident =
+    (List.find
+       (fun t -> t.Dt_frontend.Token.tok = Dt_frontend.Token.IDENT ident)
+       (Dt_frontend.Lexer.tokenize src))
+      .Dt_frontend.Token.loc.Dt_frontend.Token.line
+  in
+  check Alcotest.int "the joined statement is on its first line" 3 (line_of "A");
+  check Alcotest.int "the next statement keeps its line" 5 (line_of "X");
+  check Alcotest.int "and so does the error" 5
+    (match Dt_frontend.Lower.parse_unit src with
+    | _ -> Alcotest.fail "source parsed"
+    | exception Dt_frontend.Parser.Error (_, line) -> line);
+  match Dt_serve.Engine.analyze_source (Dt_serve.Engine.create ~jobs:1 ()) src with
+  | Ok _ -> Alcotest.fail "source parsed"
+  | Error msg ->
+      check Alcotest.bool "the engine names line 5" true
+        (String.starts_with ~prefix:"line 5: syntax error" msg)
+
 let test_lexer_errors () =
   check Alcotest.bool "illegal char" true
     (try
@@ -211,6 +260,9 @@ let suite =
   [
     Alcotest.test_case "lexer basics" `Quick test_lexer;
     Alcotest.test_case "continuation lines" `Quick test_lexer_continuation;
+    Alcotest.test_case "'&' statement is never a comment" `Quick
+      test_ampersand_statement;
+    Alcotest.test_case "line numbers after '&'" `Quick test_ampersand_line_numbers;
     Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
     Alcotest.test_case "parser structure" `Quick test_parser_structure;
     Alcotest.test_case "shared DO terminals" `Quick test_shared_terminal;

@@ -452,7 +452,7 @@ let parity_registry () =
   M.serve_request a ~endpoint:"analyze" ~ns:250_000L;
   M.serve_request b ~endpoint:"analyze" ~ns:20_000_000_000L;
   M.serve_request b ~endpoint:"metrics" ~ns:50_000L;
-  M.serve_tier a ~tier:"disk";
+  M.serve_tier a ~tier:"memo";
   M.serve_answered a ~tier:"cold";
   M.serve_answered b ~tier:"cold";
   M.serve_answered b ~tier:"response";
@@ -471,7 +471,7 @@ let strip_build_info text =
    them byte for byte. *)
 
 let expected_parity_json =
-  {parity|{"schema":"deptest-metrics/2","tests":[{"kind":"ziv","name":"ZIV","applied":1,"independent":1,"total_ns":120},{"kind":"strong_siv","name":"strong SIV","applied":3,"independent":1,"total_ns":8000},{"kind":"weak_zero_siv","name":"weak-zero SIV","applied":0,"independent":0,"total_ns":0},{"kind":"weak_crossing_siv","name":"weak-crossing SIV","applied":0,"independent":0,"total_ns":0},{"kind":"exact_siv","name":"exact SIV","applied":0,"independent":0,"total_ns":0},{"kind":"rdiv","name":"RDIV","applied":0,"independent":0,"total_ns":0},{"kind":"gcd_miv","name":"GCD","applied":1,"independent":0,"total_ns":700},{"kind":"banerjee_miv","name":"Banerjee","applied":0,"independent":0,"total_ns":0},{"kind":"delta","name":"Delta","applied":1,"independent":1,"total_ns":9000},{"kind":"symbolic_ziv","name":"symbolic ZIV","applied":0,"independent":0,"total_ns":0}],"phases":{"parse_ns":1100,"partition_ns":2200,"test_ns":3300,"merge_ns":4400},"pairs":{"tested":9,"total_ns":55596300,"latency_hist":[{"le_ns":1000,"label":"<=1us","count":2},{"le_ns":10000,"label":"<=10us","count":1},{"le_ns":100000,"label":"<=100us","count":3},{"le_ns":1000000,"label":"<=1ms","count":1},{"le_ns":10000000,"label":"<=10ms","count":1},{"le_ns":null,"label":">10ms","count":1}]},"cache":{"hits":3,"misses":2,"hit_rate":0.6,"size":7,"evictions":3,"disk_hits":4,"disk_misses":6,"disk_invalid":1},"banerjee":{"kernel_compilations":2,"incremental_nodes":2,"scratch_nodes":1,"combo_cap_fallbacks":1},"guard":{"degraded":4,"by_reason":{"overflow":1,"exception":1,"budget":2}},"engine":{"registries":2,"shards":3,"domains":[{"domain":0,"tasks":2,"steals":0,"busy_ns":15000,"queue_wait_ns":300},{"domain":1,"tasks":1,"steals":1,"busy_ns":8000,"queue_wait_ns":900}],"tasks":3,"steals":1,"busy_ns":23000,"queue_wait_ns":1200},"serve":{"endpoints":[{"endpoint":"analyze","requests":2,"total_ns":20000250000,"latency_hist":[{"le_ns":100000,"label":"<=100us","count":0},{"le_ns":1000000,"label":"<=1ms","count":1},{"le_ns":10000000,"label":"<=10ms","count":0},{"le_ns":100000000,"label":"<=100ms","count":0},{"le_ns":1000000000,"label":"<=1s","count":0},{"le_ns":10000000000,"label":"<=10s","count":0},{"le_ns":null,"label":">10s","count":1}]},{"endpoint":"health","requests":0,"total_ns":0,"latency_hist":[{"le_ns":100000,"label":"<=100us","count":0},{"le_ns":1000000,"label":"<=1ms","count":0},{"le_ns":10000000,"label":"<=10ms","count":0},{"le_ns":100000000,"label":"<=100ms","count":0},{"le_ns":1000000000,"label":"<=1s","count":0},{"le_ns":10000000000,"label":"<=10s","count":0},{"le_ns":null,"label":">10s","count":0}]},{"endpoint":"metrics","requests":1,"total_ns":50000,"latency_hist":[{"le_ns":100000,"label":"<=100us","count":1},{"le_ns":1000000,"label":"<=1ms","count":0},{"le_ns":10000000,"label":"<=10ms","count":0},{"le_ns":100000000,"label":"<=100ms","count":0},{"le_ns":1000000000,"label":"<=1s","count":0},{"le_ns":10000000000,"label":"<=10s","count":0},{"le_ns":null,"label":">10s","count":0}]}],"answered":{"cold":2,"disk":0,"response":1}}}|parity}
+  {parity|{"schema":"deptest-metrics/2","tests":[{"kind":"ziv","name":"ZIV","applied":1,"independent":1,"total_ns":120},{"kind":"strong_siv","name":"strong SIV","applied":3,"independent":1,"total_ns":8000},{"kind":"weak_zero_siv","name":"weak-zero SIV","applied":0,"independent":0,"total_ns":0},{"kind":"weak_crossing_siv","name":"weak-crossing SIV","applied":0,"independent":0,"total_ns":0},{"kind":"exact_siv","name":"exact SIV","applied":0,"independent":0,"total_ns":0},{"kind":"rdiv","name":"RDIV","applied":0,"independent":0,"total_ns":0},{"kind":"gcd_miv","name":"GCD","applied":1,"independent":0,"total_ns":700},{"kind":"banerjee_miv","name":"Banerjee","applied":0,"independent":0,"total_ns":0},{"kind":"delta","name":"Delta","applied":1,"independent":1,"total_ns":9000},{"kind":"symbolic_ziv","name":"symbolic ZIV","applied":0,"independent":0,"total_ns":0}],"phases":{"parse_ns":1100,"partition_ns":2200,"test_ns":3300,"merge_ns":4400},"pairs":{"tested":9,"total_ns":55596300,"latency_hist":[{"le_ns":1000,"label":"<=1us","count":2},{"le_ns":10000,"label":"<=10us","count":1},{"le_ns":100000,"label":"<=100us","count":3},{"le_ns":1000000,"label":"<=1ms","count":1},{"le_ns":10000000,"label":"<=10ms","count":1},{"le_ns":null,"label":">10ms","count":1}]},"cache":{"hits":3,"misses":2,"hit_rate":0.6,"size":7,"evictions":3,"disk_hits":4,"disk_misses":6,"disk_invalid":1},"banerjee":{"kernel_compilations":2,"incremental_nodes":2,"scratch_nodes":1,"combo_cap_fallbacks":1},"guard":{"degraded":4,"by_reason":{"overflow":1,"exception":1,"budget":2}},"engine":{"registries":2,"shards":3,"domains":[{"domain":0,"tasks":2,"steals":0,"busy_ns":15000,"queue_wait_ns":300},{"domain":1,"tasks":1,"steals":1,"busy_ns":8000,"queue_wait_ns":900}],"tasks":3,"steals":1,"busy_ns":23000,"queue_wait_ns":1200},"serve":{"endpoints":[{"endpoint":"analyze","requests":2,"total_ns":20000250000,"latency_hist":[{"le_ns":100000,"label":"<=100us","count":0},{"le_ns":1000000,"label":"<=1ms","count":1},{"le_ns":10000000,"label":"<=10ms","count":0},{"le_ns":100000000,"label":"<=100ms","count":0},{"le_ns":1000000000,"label":"<=1s","count":0},{"le_ns":10000000000,"label":"<=10s","count":0},{"le_ns":null,"label":">10s","count":1}]},{"endpoint":"health","requests":0,"total_ns":0,"latency_hist":[{"le_ns":100000,"label":"<=100us","count":0},{"le_ns":1000000,"label":"<=1ms","count":0},{"le_ns":10000000,"label":"<=10ms","count":0},{"le_ns":100000000,"label":"<=100ms","count":0},{"le_ns":1000000000,"label":"<=1s","count":0},{"le_ns":10000000000,"label":"<=10s","count":0},{"le_ns":null,"label":">10s","count":0}]},{"endpoint":"metrics","requests":1,"total_ns":50000,"latency_hist":[{"le_ns":100000,"label":"<=100us","count":1},{"le_ns":1000000,"label":"<=1ms","count":0},{"le_ns":10000000,"label":"<=10ms","count":0},{"le_ns":100000000,"label":"<=100ms","count":0},{"le_ns":1000000000,"label":"<=1s","count":0},{"le_ns":10000000000,"label":"<=10s","count":0},{"le_ns":null,"label":">10s","count":0}]}],"answered":{"cold":2,"memo":0,"response":1}}}|parity}
 
 let expected_parity_pp =
   {parity|test                 applied     indep    total(us)    avg(ns)
@@ -497,7 +497,7 @@ engine: 2 worker registries merged, 3 routine shard(s)
 serve analyze    2 request(s), total 20000250.0 us, avg 10000125000 ns
 serve health     0 request(s), total 0.0 us, avg 0 ns
 serve metrics    1 request(s), total 50.0 us, avg 50000 ns
-serve answered: cold:2 disk:0 response:1
+serve answered: cold:2 memo:0 response:1
 pair latency: <=1us:2 <=10us:1 <=100us:3 <=1ms:1 <=10ms:1 >10ms:1
 |parity}
 
@@ -571,13 +571,13 @@ deptest_cache_entries 7
 # HELP deptest_cache_evictions_total Memo-cache entries dropped by capacity eviction.
 # TYPE deptest_cache_evictions_total counter
 deptest_cache_evictions_total 3
-# HELP deptest_disk_cache_hits_total Verdicts served by the disk-backed cross-run store.
+# HELP deptest_disk_cache_hits_total Routine answers served by the disk-backed cross-run store.
 # TYPE deptest_disk_cache_hits_total counter
 deptest_disk_cache_hits_total 4
 # HELP deptest_disk_cache_misses_total Disk-store lookup misses.
 # TYPE deptest_disk_cache_misses_total counter
 deptest_disk_cache_misses_total 6
-# HELP deptest_disk_cache_invalid_total Invalid disk-cache objects skipped (corrupt segments, tmp leftovers, undecodable entries).
+# HELP deptest_disk_cache_invalid_total Invalid disk-cache objects skipped (corrupt or stale segments, tmp leftovers).
 # TYPE deptest_disk_cache_invalid_total counter
 deptest_disk_cache_invalid_total 1
 # HELP deptest_banerjee_kernel_compilations_total Subscript pairs compiled into the linear-form kernel.
@@ -646,18 +646,18 @@ deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="10000000000"} 1
 deptest_serve_request_duration_ns_bucket{endpoint="metrics",le="+Inf"} 1
 deptest_serve_request_duration_ns_sum{endpoint="metrics"} 50000
 deptest_serve_request_duration_ns_count{endpoint="metrics"} 1
-# HELP deptest_serve_answered_total Analyze requests answered, by cache tier (response / disk / memo / cold) or none for non-analyze and failed requests.
+# HELP deptest_serve_answered_total Analyze requests answered, by cache tier (response / memo / cold) or none for non-analyze and failed requests.
 # TYPE deptest_serve_answered_total counter
 deptest_serve_answered_total{tier="cold"} 2
-deptest_serve_answered_total{tier="disk"} 0
+deptest_serve_answered_total{tier="memo"} 0
 deptest_serve_answered_total{tier="response"} 1
 |parity}
 
 let expected_daemon_health =
-  {parity|{"ok":true,"status":"ok","jobs":1,"uptime_ns":"*","requests":6,"in_flight":1,"connections":2,"errors":2,"protocol_errors":1,"pid":"*","saturation":{"in_flight":1,"queue_depth":2,"max_inflight":0,"queue_deadline_ms":0,"shed":1,"deadline_exceeded":1,"injected_faults":1,"restarts":0},"trace":{"sample_period":1,"slow_threshold_ns":"*","ledger_total":4},"cache":{"memo_hits":2,"memo_misses":4,"memo_entries":4},"disk":{"dir":"*","resident":6,"resident_bytes":2143,"segments":0}}|parity}
+  {parity|{"ok":true,"status":"ok","jobs":1,"uptime_ns":"*","requests":6,"in_flight":1,"connections":2,"errors":2,"protocol_errors":1,"pid":"*","saturation":{"in_flight":1,"queue_depth":2,"max_inflight":0,"queue_deadline_ms":0,"shed":1,"deadline_exceeded":1,"injected_faults":1,"restarts":0},"trace":{"sample_period":1,"slow_threshold_ns":"*","ledger_total":4},"cache":{"memo_hits":2,"memo_misses":4,"memo_entries":4},"disk":{"dir":"*","resident":2,"resident_bytes":519,"segments":0}}|parity}
 
 let expected_daemon_json =
-  {parity|{"ok":true,"metrics":{"schema":"deptest-metrics/2","tests":[{"kind":"ziv","name":"ZIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"strong_siv","name":"strong SIV","applied":6,"independent":0,"total_ns":"*"},{"kind":"weak_zero_siv","name":"weak-zero SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"weak_crossing_siv","name":"weak-crossing SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"exact_siv","name":"exact SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"rdiv","name":"RDIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"gcd_miv","name":"GCD","applied":0,"independent":0,"total_ns":"*"},{"kind":"banerjee_miv","name":"Banerjee","applied":0,"independent":0,"total_ns":"*"},{"kind":"delta","name":"Delta","applied":2,"independent":1,"total_ns":"*"},{"kind":"symbolic_ziv","name":"symbolic ZIV","applied":0,"independent":0,"total_ns":"*"}],"phases":{"parse_ns":"*","partition_ns":"*","test_ns":"*","merge_ns":"*"},"pairs":{"tested":6,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=1us","count":"*"},{"le_ns":"*","label":"<=10us","count":"*"},{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":">10ms","count":"*"}]},"cache":{"hits":2,"misses":4,"hit_rate":0.33333333333333331,"size":4,"evictions":0,"disk_hits":1,"disk_misses":7,"disk_invalid":0},"banerjee":{"kernel_compilations":0,"incremental_nodes":0,"scratch_nodes":0,"combo_cap_fallbacks":0},"guard":{"degraded":0,"by_reason":{"overflow":0,"exception":0,"budget":0}},"engine":{"registries":2,"shards":0,"domains":[{"domain":0,"tasks":2,"steals":0,"busy_ns":"*","queue_wait_ns":"*"}],"tasks":2,"steals":0,"busy_ns":"*","queue_wait_ns":"*"},"serve":{"endpoints":[{"endpoint":"analyze","requests":5,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"flush","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"health","requests":1,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"metrics","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"shutdown","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"slow","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"top","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"trace-last","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]}],"answered":{"cold":1,"disk":0,"memo":1,"none":1,"response":1}}},"serve":{"requests":7,"analyses":2,"response_hits":1,"response_misses":3,"errors":2,"protocol_errors":1,"connections":2,"in_flight":1,"traced":4,"saturation":{"in_flight":1,"queue_depth":2,"max_inflight":0,"queue_deadline_ms":0,"shed":1,"deadline_exceeded":1,"injected_faults":1,"restarts":0}}}|parity}
+  {parity|{"ok":true,"metrics":{"schema":"deptest-metrics/2","tests":[{"kind":"ziv","name":"ZIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"strong_siv","name":"strong SIV","applied":6,"independent":0,"total_ns":"*"},{"kind":"weak_zero_siv","name":"weak-zero SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"weak_crossing_siv","name":"weak-crossing SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"exact_siv","name":"exact SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"rdiv","name":"RDIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"gcd_miv","name":"GCD","applied":0,"independent":0,"total_ns":"*"},{"kind":"banerjee_miv","name":"Banerjee","applied":0,"independent":0,"total_ns":"*"},{"kind":"delta","name":"Delta","applied":2,"independent":1,"total_ns":"*"},{"kind":"symbolic_ziv","name":"symbolic ZIV","applied":0,"independent":0,"total_ns":"*"}],"phases":{"parse_ns":"*","partition_ns":"*","test_ns":"*","merge_ns":"*"},"pairs":{"tested":6,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=1us","count":"*"},{"le_ns":"*","label":"<=10us","count":"*"},{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":">10ms","count":"*"}]},"cache":{"hits":2,"misses":4,"hit_rate":0.33333333333333331,"size":4,"evictions":0,"disk_hits":1,"disk_misses":3,"disk_invalid":0},"banerjee":{"kernel_compilations":0,"incremental_nodes":0,"scratch_nodes":0,"combo_cap_fallbacks":0},"guard":{"degraded":0,"by_reason":{"overflow":0,"exception":0,"budget":0}},"engine":{"registries":2,"shards":0,"domains":[{"domain":0,"tasks":2,"steals":0,"busy_ns":"*","queue_wait_ns":"*"}],"tasks":2,"steals":0,"busy_ns":"*","queue_wait_ns":"*"},"serve":{"endpoints":[{"endpoint":"analyze","requests":5,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"flush","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"health","requests":1,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"metrics","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"shutdown","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"slow","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"top","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"trace-last","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]}],"answered":{"cold":1,"memo":1,"none":1,"response":1}}},"serve":{"requests":7,"analyses":2,"response_hits":1,"response_misses":3,"errors":2,"protocol_errors":1,"connections":2,"in_flight":1,"traced":4,"saturation":{"in_flight":1,"queue_depth":2,"max_inflight":0,"queue_deadline_ms":0,"shed":1,"deadline_exceeded":1,"injected_faults":1,"restarts":0}}}|parity}
 
 let expected_daemon_prom =
   {parity|# HELP deptest_build_info Build and schema identity of this process (value is always 1).
@@ -729,13 +729,13 @@ deptest_cache_entries 4
 # HELP deptest_cache_evictions_total Memo-cache entries dropped by capacity eviction.
 # TYPE deptest_cache_evictions_total counter
 deptest_cache_evictions_total 0
-# HELP deptest_disk_cache_hits_total Verdicts served by the disk-backed cross-run store.
+# HELP deptest_disk_cache_hits_total Routine answers served by the disk-backed cross-run store.
 # TYPE deptest_disk_cache_hits_total counter
 deptest_disk_cache_hits_total 1
 # HELP deptest_disk_cache_misses_total Disk-store lookup misses.
 # TYPE deptest_disk_cache_misses_total counter
-deptest_disk_cache_misses_total 7
-# HELP deptest_disk_cache_invalid_total Invalid disk-cache objects skipped (corrupt segments, tmp leftovers, undecodable entries).
+deptest_disk_cache_misses_total 3
+# HELP deptest_disk_cache_invalid_total Invalid disk-cache objects skipped (corrupt or stale segments, tmp leftovers).
 # TYPE deptest_disk_cache_invalid_total counter
 deptest_disk_cache_invalid_total 0
 # HELP deptest_banerjee_kernel_compilations_total Subscript pairs compiled into the linear-form kernel.
@@ -845,10 +845,9 @@ deptest_serve_request_duration_ns_bucket{endpoint="trace-last",le="10000000000"}
 deptest_serve_request_duration_ns_bucket{endpoint="trace-last",le="+Inf"} *
 deptest_serve_request_duration_ns_sum{endpoint="trace-last"} *
 deptest_serve_request_duration_ns_count{endpoint="trace-last"} *
-# HELP deptest_serve_answered_total Analyze requests answered, by cache tier (response / disk / memo / cold) or none for non-analyze and failed requests.
+# HELP deptest_serve_answered_total Analyze requests answered, by cache tier (response / memo / cold) or none for non-analyze and failed requests.
 # TYPE deptest_serve_answered_total counter
 deptest_serve_answered_total{tier="cold"} 1
-deptest_serve_answered_total{tier="disk"} 0
 deptest_serve_answered_total{tier="memo"} 1
 deptest_serve_answered_total{tier="none"} 1
 deptest_serve_answered_total{tier="response"} 1

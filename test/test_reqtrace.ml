@@ -156,7 +156,7 @@ let test_entry_json () =
 let test_tier_names () =
   let names = List.map Reqtrace.tier_name Reqtrace.tiers in
   check (Alcotest.list Alcotest.string) "stable tier slugs"
-    [ "response"; "disk"; "memo"; "cold"; "none" ]
+    [ "response"; "memo"; "cold"; "none" ]
     names;
   check int "slugs are distinct" (List.length names)
     (List.length (List.sort_uniq compare names))

@@ -1,8 +1,8 @@
 (* Tests for the serve stack: length-prefixed framing, the disk-backed
-   verdict store (round-trip, eviction, the corruption-tolerance matrix),
-   the two-tier pair cache, the never-persist-degraded guarantee, the
-   wire protocol, and an in-process daemon end-to-end — including the
-   byte-identity of daemon answers vs in-process analysis, cold and
+   store of rendered routines (round-trip, eviction, the
+   corruption-tolerance matrix), the never-persist-degraded guarantee,
+   the wire protocol, and an in-process daemon end-to-end — including
+   the byte-identity of daemon answers vs in-process analysis, cold and
    warm. *)
 
 module Json = Dt_obs.Json
@@ -46,9 +46,9 @@ let src =
   \   20 CONTINUE\n\
   \      END\n"
 
-let in_process_output ?disk () =
+let in_process_output () =
   let progs = Dt_frontend.Lower.parse_unit src in
-  let cfg = Deptest.Analyze.Config.make ?disk () in
+  let cfg = Deptest.Analyze.Config.make () in
   let results = Deptest.Analyze.run_all cfg progs in
   fst (Dt_serve.Render.unit_ progs results)
 
@@ -381,34 +381,37 @@ let test_store_tmp_leftover () =
       Sys.remove seg;
       write_file (Filename.concat dir "seg-1.bin.tmp") "partial")
 
-(* A stored verdict changed on disk in place, same length, so only the
-   checksum can see it: the damaged segment is counted and dropped, and
-   the answer is the cold one, never the changed distance. *)
+(* A stored routine's distance changed on disk in place, same length,
+   so only the checksum can see it: the damaged segment is counted and
+   dropped, and the answer is the cold one, never the changed distance. *)
 let test_store_flipped_verdict () =
   let dir = tmpdir () in
   let baseline = in_process_output () in
-  let store = Store.open_ ~dir ~fingerprint:fp () in
-  check string "cold with disk tier = no disk tier" baseline
-    (in_process_output ~disk:store ());
-  ignore (Store.flush store);
+  let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  (match Dt_serve.Engine.analyze_source e src with
+  | Ok (out, _) -> check string "cold through the store = in-process" baseline out
+  | Error msg -> Alcotest.fail msg);
+  check int "one routine flushed" 1 (Dt_serve.Engine.flush e);
   let seg = Filename.concat dir "seg-0.bin" in
   let text = read_file seg in
-  let d1 = {|{"const":1}|} in
+  let d1 = "d_I=1" in
   let at = index_of text d1 in
   write_file seg
-    (String.sub text 0 at ^ {|{"const":3}|}
+    (String.sub text 0 at ^ "d_I=3"
     ^ String.sub text (at + String.length d1)
         (String.length text - at - String.length d1));
-  let store2 = Store.open_ ~dir ~fingerprint:fp () in
+  let e2 = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  let store2 = Option.get (Dt_serve.Engine.store e2) in
   check int "damaged segment counted invalid" 1 (Store.invalid store2);
   check int "store starts cold" 0 (Store.length store2);
-  check string "warm answer = cold answer" baseline
-    (in_process_output ~disk:store2 ())
+  match Dt_serve.Engine.analyze_source e2 src with
+  | Ok (out, _) -> check string "warm answer = cold answer" baseline out
+  | Error msg -> Alcotest.fail msg
 
 (* Cross-run counts over the 87 corpus units through the daemon's engine
-   (one job, so the counts are deterministic): 241 pair entries and one
-   response entry per routine — 89, since solver_pipeline has three
-   routines and every other unit one. *)
+   (one job, so the counts are deterministic): one entry per routine —
+   89, since solver_pipeline has three routines and every other unit
+   one. *)
 let test_store_corpus_cross_run () =
   let dir = tmpdir () in
   let run e =
@@ -429,47 +432,20 @@ let test_store_corpus_cross_run () =
   check string "corpus answers digest" "b4c35e5b36a48b13f511cebc1ee49251"
     (Digest.to_hex (Digest.string (String.concat "\x00" cold)));
   check int "cold run: disk hits" 0 (Store.hits s);
-  check int "cold run: disk misses" 330 (Store.misses s);
-  check int "cold run: entries" 330 (Store.length s);
-  check int "flushed" 330 (Dt_serve.Engine.flush e);
+  check int "cold run: disk misses" 89 (Store.misses s);
+  check int "cold run: entries" 89 (Store.length s);
+  check int "flushed" 89 (Dt_serve.Engine.flush e);
   let e2 = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
   let s2 = Option.get (Dt_serve.Engine.store e2) in
-  check int "reopened entries" 330 (Store.length s2);
+  check int "reopened entries" 89 (Store.length s2);
   check int "reopened resident bytes" (Store.resident_bytes s)
     (Store.resident_bytes s2);
   let warm = run e2 in
   check int "reopened: response hits" 89 (Store.hits s2);
   check int "reopened: misses" 0 (Store.misses s2);
-  check (Alcotest.list string) "answers byte-identical across the reopen"
-    cold warm;
-  (* a fresh memo over the reopened store: every pair decodes on hit *)
-  let cfg = Deptest.Analyze.Config.make ~jobs:1 ~disk:s2 () in
-  let pairs =
-    List.map
-      (fun (u : Dt_workloads.Corpus.entry) ->
-        let progs = Dt_frontend.Lower.parse_unit u.Dt_workloads.Corpus.source in
-        fst (Dt_serve.Render.unit_ progs (Deptest.Analyze.run_all cfg progs)))
-      Dt_workloads.Corpus.all
-  in
-  check int "pair tier: disk hits" (89 + 241) (Store.hits s2);
-  check int "pair tier: disk misses" 0 (Store.misses s2);
   check int "nothing invalid" 0 (Store.invalid s2);
-  check (Alcotest.list string) "pair-tier answers byte-identical" cold pairs
-
-(* --- disk tier of the pair cache ------------------------------------- *)
-
-let test_disk_tier_parity () =
-  let dir = tmpdir () in
-  let baseline = in_process_output () in
-  let store = Store.open_ ~dir ~fingerprint:fp () in
-  let cold = in_process_output ~disk:store () in
-  check string "cold with disk tier = no disk tier" baseline cold;
-  ignore (Store.flush store);
-  (* fresh memo, same disk: verdicts come from disk and render identically *)
-  let store2 = Store.open_ ~dir ~fingerprint:fp () in
-  let warm = in_process_output ~disk:store2 () in
-  check string "disk-warm = cold" baseline warm;
-  check bool "disk hits occurred" true (Store.hits store2 > 0)
+  check (Alcotest.list string) "answers byte-identical across the reopen"
+    cold warm
 
 let one_shot source =
   let progs = Dt_frontend.Lower.parse_unit source in
@@ -499,16 +475,19 @@ let answered e tier =
 let memo e k = int_at e Dt_serve.Protocol.Health [ "cache"; k ]
 
 let test_degraded_never_persisted () =
-  (* deadline 0 deterministically degrades every pair *)
-  let dir = tmpdir () in
-  let store = Store.open_ ~dir ~fingerprint:fp () in
+  (* deadline 0 deterministically degrades every pair: none reaches the
+     memo, so the same memo then answers as if cold *)
   let progs = Dt_frontend.Lower.parse_unit src in
-  let cfg = Deptest.Analyze.Config.make ~deadline_ms:0 ~disk:store () in
-  let results = Deptest.Analyze.run_all cfg progs in
+  let cfg = Deptest.Analyze.Config.make ~jobs:1 () in
+  let results =
+    Deptest.Analyze.run_all (Deptest.Analyze.Config.with_deadline_ms (Some 0) cfg) progs
+  in
   let _, degraded = Dt_serve.Render.unit_ progs results in
   check bool "run did degrade" true (degraded > 0);
-  check int "no degraded entry reached the disk tier" 0 (Store.length store);
-  check int "flush persists nothing" 0 (Store.flush store);
+  check (Alcotest.option (Alcotest.pair int int)) "no degraded entry reached the memo"
+    (Some (0, 0)) (Deptest.Analyze.Config.cache_usage cfg);
+  check string "the same memo then answers as one-shot" (in_process_output ())
+    (fst (Dt_serve.Render.unit_ progs (Deptest.Analyze.run_all cfg progs)));
   (* through the engine, on a unit of two routines: injected faults
      degrade TSERVE's pairs, and QUIET has no statement to pair (jobs 1:
      the inject harness is single-domain only) *)
@@ -537,25 +516,25 @@ let test_degraded_never_persisted () =
 
 let test_injected_fault_never_persisted () =
   let dir = tmpdir () in
-  let store = Store.open_ ~dir ~fingerprint:fp () in
-  let progs = Dt_frontend.Lower.parse_unit src in
   let baseline = in_process_output () in
+  (* sequential: the inject harness is single-domain only *)
+  let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
   Dt_guard.Inject.enable ~period:2 [ Dt_guard.Inject.Exception ];
   Fun.protect ~finally:Dt_guard.Inject.disable (fun () ->
-      let cfg =
-        (* sequential: the inject harness is single-domain only *)
-        Deptest.Analyze.Config.make ~jobs:1 ~disk:store ()
-      in
-      let results = Deptest.Analyze.run_all cfg progs in
-      let _, degraded = Dt_serve.Render.unit_ progs results in
-      check bool "faults fired and degraded pairs" true (degraded > 0));
-  ignore (Store.flush store);
-  (* a persisted degraded verdict would replay into this warm run and
+      match Dt_serve.Engine.analyze_source e src with
+      | Ok (_, degraded) ->
+          check bool "faults fired and degraded pairs" true (degraded > 0)
+      | Error msg -> Alcotest.fail msg);
+  check int "flush persists nothing" 0 (Dt_serve.Engine.flush e);
+  (* a persisted degraded routine would replay into this warm run and
      poison it; byte-equality with the clean baseline proves the fault
      run persisted nothing degraded *)
-  let store2 = Store.open_ ~dir ~fingerprint:fp () in
-  let warm = in_process_output ~disk:store2 () in
-  check string "warm run after fault run = clean baseline" baseline warm
+  let e2 = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  match Dt_serve.Engine.analyze_source e2 src with
+  | Ok (warm, degraded) ->
+      check int "the reopened run degrades nothing" 0 degraded;
+      check string "warm run after fault run = clean baseline" baseline warm
+  | Error msg -> Alcotest.fail msg
 
 (* --- protocol --------------------------------------------------------- *)
 
@@ -1507,8 +1486,8 @@ let test_pinned_edit_counts () =
   let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
   let store = Option.get (Dt_serve.Engine.store e) in
   let seeded = Store.length store in
-  (* 512 routines and the 14 476 pairs the seeding run missed *)
-  check int "seeded store entries" 14_988 seeded;
+  (* one rendered text per base routine, and nothing else *)
+  check int "seeded store entries" 512 seeded;
   let edits = List.init 32 (E2e_units.edit ~seed:1 (Lazy.force base_units)) in
   List.iteri
     (fun i s ->
@@ -1517,10 +1496,10 @@ let test_pinned_edit_counts () =
     edits;
   check int "edits: routine hits" (32 * 7) (serve_count e "response_hits");
   check int "edits: routine misses" 32 (serve_count e "response_misses");
-  (* only the 32 changed routines reach the pair tier *)
-  check int "edits: memo hits" 23 (memo e "memo_hits");
-  check int "edits: memo misses" 913 (memo e "memo_misses");
-  check int "edits: new store entries (32 routines, 913 pairs)" 945
+  (* only the 32 changed routines reach the memo *)
+  check int "edits: memo hits" 4 (memo e "memo_hits");
+  check int "edits: memo misses" 932 (memo e "memo_misses");
+  check int "edits: new store entries (32 routines)" 32
     (Store.length store - seeded);
   Array.iteri
     (fun i s ->
@@ -1530,27 +1509,94 @@ let test_pinned_edit_counts () =
   check int "repeats: routine hits" ((32 * 7) + 512) (serve_count e "response_hits");
   check int "repeats: routine misses" 32 (serve_count e "response_misses");
   check int "every repeat answered on the response tier" 64 (answered e "response");
-  check int "repeats: no memo hit" 23 (memo e "memo_hits");
-  check int "repeats: no memo miss" 913 (memo e "memo_misses");
-  check int "repeats: no new entry" (seeded + 945) (Store.length store)
+  check int "repeats: no memo hit" 4 (memo e "memo_hits");
+  check int "repeats: no memo miss" 932 (memo e "memo_misses");
+  check int "repeats: no new entry" (seeded + 32) (Store.length store)
 
-(* a diskcache/3 store, written by the unit-keyed response tier: it must
-   read as invalid and the engine answer as if cold *)
-let test_schema_3_store () =
+(* the routine [text] without its assignments numbered in [ks] (from 0,
+   in text order) *)
+let drop_assignments ks text =
+  let n = ref (-1) in
+  String.split_on_char '\n' text
+  |> List.filter (fun l ->
+         let t = String.trim l in
+         let assignment =
+           String.contains t '=' && not (String.starts_with ~prefix:"DO " t)
+         in
+         if assignment then incr n;
+         not (assignment && List.mem !n ks))
+  |> String.concat "\n"
+
+(* the reference pairs routine [r] of [source] tests, one-shot *)
+let pair_count source r =
+  let progs = Dt_frontend.Lower.parse_unit source in
+  let results =
+    Deptest.Analyze.run_all (Deptest.Analyze.Config.make ~jobs:1 ~cache:false ()) progs
+  in
+  List.length (List.nth results r).Deptest.Analyze.pairs
+
+(* What the memo is for once routines are cached: an edit of one
+   statement. After a restart on the seeded store, deleting one
+   assignment from a routine misses the memo on every pair of that
+   routine; deleting a second one from the same routine tests no pair
+   the first edit did not, so every pair hits. *)
+let test_pinned_statement_edits () =
   let dir = tmpdir () in
+  let units = Lazy.force base_units in
+  let seed = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  Array.iter (fun s -> ignore (Dt_serve.Engine.analyze_source seed s)) (base_sources ());
+  ignore (Dt_serve.Engine.flush seed);
+  let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  (* unit 0, routine 3: a depth-4 nest *)
+  let edit ks =
+    E2e_units.source
+      (Array.mapi (fun i t -> if i = 3 then drop_assignments ks t else t) units.(0))
+  in
+  let first = edit [ 2 ] and second = edit [ 2; 4 ] in
+  check string "first edit = one-shot" (one_shot first) (output_of_handle e first);
+  check int "first edit: one routine missed" 1 (serve_count e "response_misses");
+  check int "first edit: pairs of the routine" 19 (pair_count first 3);
+  check int "first edit: memo misses = the routine's pairs" (pair_count first 3)
+    (memo e "memo_misses");
+  check int "first edit: no memo hit" 0 (memo e "memo_hits");
+  check string "second edit = one-shot" (one_shot second) (output_of_handle e second);
+  check int "second edit: one routine missed" 2 (serve_count e "response_misses");
+  check int "second edit: pairs of the routine" 12 (pair_count second 3);
+  check int "second edit: no new memo miss" (pair_count first 3) (memo e "memo_misses");
+  check int "second edit: every pair hits the memo" (pair_count second 3)
+    (memo e "memo_hits")
+
+(* stores of earlier schemas must read as invalid and the engine answer
+   as if cold: a diskcache/3 store, written by the unit-keyed response
+   tier, and a diskcache/4 one, which held pair verdicts ("p:") beside
+   the routines *)
+let test_older_schema_stores () =
   let baseline = in_process_output () in
-  write_file (Filename.concat dir "seg-0.bin")
-    (segment_text ~schema:"deptest-diskcache/3"
-       ~fingerprint:(Dt_serve.Engine.store_fingerprint ~build:Dt_obs.Build_id.git)
-       [ ("r:" ^ Digest.to_hex (Digest.string src), "a stale answer\n") ]);
-  let e = Dt_serve.Engine.create ~cache_dir:dir () in
-  let store = Option.get (Dt_serve.Engine.store e) in
-  check int "opens cold" 0 (Store.length store);
-  check int "counted invalid" 1 (Store.invalid store);
-  check int "disk_invalid" 1
-    (int_at e (Dt_serve.Protocol.Metrics { prometheus = false })
-       [ "metrics"; "cache"; "disk_invalid" ]);
-  check string "answers byte-identically" baseline (output_of_handle e src)
+  let fingerprint = Dt_serve.Engine.store_fingerprint ~build:Dt_obs.Build_id.git in
+  let digest = Digest.to_hex (Digest.string src) in
+  List.iter
+    (fun (schema, entries) ->
+      let dir = tmpdir () in
+      write_file (Filename.concat dir "seg-0.bin")
+        (segment_text ~schema ~fingerprint entries);
+      let e = Dt_serve.Engine.create ~cache_dir:dir () in
+      let store = Option.get (Dt_serve.Engine.store e) in
+      check int (schema ^ ": opens cold") 0 (Store.length store);
+      check int (schema ^ ": counted invalid") 1 (Store.invalid store);
+      check int (schema ^ ": disk_invalid") 1
+        (int_at e (Dt_serve.Protocol.Metrics { prometheus = false })
+           [ "metrics"; "cache"; "disk_invalid" ]);
+      check string (schema ^ ": answers byte-identically") baseline
+        (output_of_handle e src))
+    [
+      ("deptest-diskcache/3", [ ("r:" ^ digest, "a stale answer\n") ]);
+      ( "deptest-diskcache/4",
+        [
+          ("r1:" ^ digest, "a stale answer\n");
+          ( "p:0|A(%0+1)|A(%0)",
+            {|{"result":"indep","meta":{},"counters":[],"producer":[]}|} );
+        ] );
+    ]
 
 (* the bytes a frame carries on the wire, written to a file *)
 let frame_bytes write =
@@ -1628,7 +1674,6 @@ let suite =
     ( "store cross-run counts over the corpus",
       `Quick,
       test_store_corpus_cross_run );
-    ("disk tier byte parity", `Quick, test_disk_tier_parity);
     ("degraded never persisted (deadline)", `Quick,
       test_degraded_never_persisted);
     ( "degraded never persisted (injected fault)",
@@ -1658,6 +1703,7 @@ let suite =
     ("split hand cases", `Quick, test_split_hand_cases);
     ("error parity across routines", `Quick, test_error_parity);
     ("pinned counts on a fixed edit sequence", `Quick, test_pinned_edit_counts);
-    ("diskcache/3 store opens cold", `Quick, test_schema_3_store);
+    ("pinned memo counts on one-statement edits", `Quick, test_pinned_statement_edits);
+    ("diskcache/3 and /4 stores open cold", `Quick, test_older_schema_stores);
     ("response frame bytes = Frame.write", `Quick, test_response_frame);
   ]
