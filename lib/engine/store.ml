@@ -1,4 +1,4 @@
-let schema_version = "deptest-diskcache/5"
+let schema_version = "deptest-diskcache/6"
 
 (* a resident value and the insertion that made it resident: a queue
    slot whose [seq] no longer matches is stale (its key was removed,

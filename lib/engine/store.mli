@@ -4,11 +4,12 @@
     table and persisted as numbered segment files [seg-N.bin] under a
     cache directory. The store never looks inside a value. Its one user
     is the serve daemon's response tier, which stores each routine's
-    rendered answer byte for byte, so a hit decodes nothing.
+    rendered answer as the JSON-escaped bytes its reply carries, so a
+    hit decodes and escapes nothing.
 
     {b Segment format.} Three header lines, then the body:
     {v
-    deptest-diskcache/5\n
+    deptest-diskcache/6\n
     FINGERPRINT\n
     MD5-HEX-OF-BODY\n
     KLEN VLEN\n KEY VALUE   (one record per entry, insertion order)
@@ -36,11 +37,13 @@
 type t
 
 val schema_version : string
-(** ["deptest-diskcache/5"]: the length-framed, checksummed byte
-    segments above. Versions 4 and 5 changed no framing, only what the
+(** ["deptest-diskcache/6"]: the length-framed, checksummed byte
+    segments above. Versions 4 to 6 changed no framing, only what the
     store holds: version 4 keyed the serve daemon's responses by
-    routine, not unit, and version 5 drops the pair verdicts
-    (["p:"] entries) that version 4 held beside them. An older segment
+    routine, not unit, version 5 drops the pair verdicts
+    (["p:"] entries) that version 4 held beside them, and version 6
+    holds each routine's text JSON-escaped where version 5 held it raw
+    (a raw text sent as wire bytes is not valid JSON). An older segment
     loads as invalid and the store starts empty, as do version-2 JSON
     segments ([seg-N.json]) of decoded trees. *)
 

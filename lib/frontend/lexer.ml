@@ -47,10 +47,12 @@ let logical_lines src =
           let n = String.length line in
           if last_kept line 0 n < 0 then go acc (lineno + 1) rest
           else if continuation_line line 0 n then
-            let cont = String.sub line 6 (String.length line - 6) in
             match acc with
             | (prev_no, prev) :: acc' ->
-                go ((prev_no, prev ^ " " ^ cont) :: acc') (lineno + 1) rest
+                (* a continued statement may go on with a trailing '&' *)
+                statement acc' prev_no
+                  (String.trim (prev ^ " " ^ String.sub line 6 (n - 6)))
+                  (lineno + 1) rest
             | [] -> raise (Error ("continuation with no previous line", lineno))
           else statement acc lineno (String.trim line) (lineno + 1) rest
   (* [text], begun on line [first], is a statement: a trailing '&'

@@ -62,13 +62,6 @@ module Printer (S : SINK) = struct
     escape_body out s;
     S.add_char out '"'
 
-  (* each byte escapes on its own, so the escaped parts concatenate to
-     the escaped whole *)
-  let string_of_parts out parts =
-    S.add_char out '"';
-    Array.iter (escape_body out) parts;
-    S.add_char out '"'
-
   let rec value out = function
     | Null -> S.add_string out "null"
     | Bool b -> S.add_string out (if b then "true" else "false")
@@ -97,12 +90,22 @@ end
 
 module To_buffer = Printer (Buffer)
 
+(* sized by a first pass, so the only allocation is the result *)
+let escape s =
+  let width c = match escapes.(Char.code c) with "" -> 1 | e -> String.length e in
+  let b = Bytes.create (String.fold_left (fun n c -> n + width c) 0 s) in
+  let put j c =
+    match escapes.(Char.code c) with
+    | "" -> Bytes.unsafe_set b j c; j + 1
+    | e -> Bytes.blit_string e 0 b j (String.length e); j + String.length e
+  in
+  ignore (String.fold_left put 0 s);
+  Bytes.unsafe_to_string b
+
 let to_string v =
   let buf = Buffer.create 256 in
   To_buffer.value buf v;
   Buffer.contents buf
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 (* ------------------------------------------------------------------ *)
 (* parsing: recursive descent                                          *)

@@ -8,8 +8,7 @@
     62-bit ints kept distinct from floats, and order-preserving objects.
     Values printed by {!to_string} parse back to equal values with
     {!of_string}. Both work on runs of bytes rather than one byte at a
-    time, since the warm serve path is mostly escaping and unescaping
-    long rendered answers. *)
+    time, since rendered answers are long. *)
 
 type t =
   | Null
@@ -40,15 +39,10 @@ module Printer (S : SINK) : sig
 
   val string : S.t -> string -> unit
   (** [value (String s)]. *)
-
-  val string_of_parts : S.t -> string array -> unit
-  (** One JSON string whose text is the concatenation of the parts,
-      written without building that concatenation: the bytes of
-      [value (String (String.concat "" parts))]. *)
 end
 
-val pp : Format.formatter -> t -> unit
-(** Same compact rendering, onto a formatter. *)
+val escape : string -> string
+(** The bytes {!to_string} writes between the quotes of [String s]. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error. The error

@@ -170,8 +170,9 @@ let parse source =
       Error (Printf.sprintf "line %d: %s" line msg)
 
 (* A request's pieces (Dt_frontend.Split) and what the response tier
-   holds for each: [found.(i)] is piece [i]'s rendered text, filled in
-   by [complete] for the pieces it computes. *)
+   holds for each: [found.(i)] is piece [i]'s rendered text, JSON-escaped
+   (the bytes an answer carries between the quotes of its "output"),
+   filled in by [complete] for the pieces it computes. *)
 type pieces = {
   cuts : int array;
   keys : string array;
@@ -189,9 +190,9 @@ let find_response t key =
       hit
 
 (* The warm path: split, key and look up each piece. A stored text is
-   the rendered routine itself, and only undegraded routines are
-   stored, so a hit decodes nothing; on-disk damage is the segment
-   checksum's to catch. *)
+   the rendered routine's wire bytes, and only undegraded routines are
+   stored, so a hit decodes and escapes nothing; on-disk damage is the
+   segment checksum's to catch. *)
 let lookup t source =
   let cuts = Dt_frontend.Split.routines source in
   let many = Array.length cuts > 2 in
@@ -245,6 +246,8 @@ let compute t config source p =
             let text, d =
               Render.routines ~many:(many || List.length progs > 1) progs mine
             in
+            (* escaped once, here: the store and the wire hold this form *)
+            let text = Json.escape text in
             (match t.store with
             | Some store when d = 0 -> Store.add store p.keys.(i) text
             | _ -> ());
@@ -254,11 +257,11 @@ let compute t config source p =
       in
       Ok (Array.map Option.get p.found, degraded)
 
-(* [Ok (parts, degraded)], the answer being the concatenation of
-   [parts], or [Error message]. A piece that does not parse sends the
-   whole unit through again as one piece, so the error is the one-shot
-   parse's, line numbers and all, and no piece of an erroring request
-   is answered. *)
+(* [Ok (parts, degraded)], the answer's escaped text being the
+   concatenation of [parts], or [Error message]. A piece that does not
+   parse sends the whole unit through again as one piece, so the error
+   is the one-shot parse's, line numbers and all, and no piece of an
+   erroring request is answered. *)
 let complete t config source p =
   match compute t config source p with
   | Error _ when Array.length p.keys > 1 ->
@@ -271,11 +274,12 @@ let complete t config source p =
         }
   | r -> r
 
+let analyze_parts t source = complete t t.config source (lookup t source)
+
 let analyze_source t source =
   Result.map
-    (fun (parts, degraded) ->
-      (String.concat "" (Array.to_list parts), degraded))
-    (complete t t.config source (lookup t source))
+    (fun (parts, degraded) -> (Protocol.text_of_parts parts, degraded))
+    (analyze_parts t source)
 
 let warm t ?suite () =
   let entries =
@@ -285,7 +289,7 @@ let warm t ?suite () =
   in
   List.fold_left
     (fun n (e : Dt_workloads.Corpus.entry) ->
-      match analyze_source t e.Dt_workloads.Corpus.source with
+      match analyze_parts t e.Dt_workloads.Corpus.source with
       | Ok _ -> n + 1
       | Error _ -> n)
     0 entries

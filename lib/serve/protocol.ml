@@ -114,24 +114,32 @@ type response =
   | Reply of Json.t
   | Answer of { output : string array; fields : (string * Json.t) list }
 
+(* each byte escapes on its own, so the escaped parts concatenate to
+   the escaped whole *)
+let text_of_parts output =
+  let quoted = String.concat "" (("\"" :: Array.to_list output) @ [ "\"" ]) in
+  match Json.of_string quoted with
+  | Ok (Json.String text) -> text
+  | _ -> invalid_arg "Protocol.text_of_parts: not an escaped string body"
+
 let response_json = function
   | Reply json -> json
   | Answer { output; fields } ->
-      ok (("output", Json.String (String.concat "" (Array.to_list output)))
-          :: fields)
+      ok (("output", Json.String (text_of_parts output)) :: fields)
 
 module Out = Dt_support.Frame.Out
 module Wire = Json.Printer (Out)
 
-(* the bytes of [Json.to_string (response_json r)], with an answer's
-   output escaped part by part *)
+(* the bytes of [Json.to_string (response_json r)]: an answer's output
+   parts are already escaped, so each is one blit *)
 let write_response out r =
   Out.clear out;
   match r with
   | Reply json -> Wire.value out json
   | Answer { output; fields } ->
-      Out.add_string out {|{"ok":true,"output":|};
-      Wire.string_of_parts out output;
+      Out.add_string out {|{"ok":true,"output":"|};
+      Array.iter (Out.add_string out) output;
+      Out.add_char out '"';
       List.iter
         (fun (k, v) ->
           Out.add_char out ',';

@@ -66,9 +66,10 @@ val ok : (string * Dt_obs.Json.t) list -> Dt_obs.Json.t
 (** [{"ok":true, ...fields}]. *)
 
 (** What the daemon answers a request with. An analyze answer keeps
-    its output as the rendered routines' texts, in order, so the server
-    writes them into the response frame one after the other and never
-    builds the concatenated answer. *)
+    its output as the rendered routines' texts, in order, each already
+    JSON-escaped ({!Dt_obs.Json.escape}, as the response tier stores
+    them), so the server writes them into the response frame with one
+    blit each and never builds or escapes the concatenated answer. *)
 type response =
   | Reply of Dt_obs.Json.t
   | Answer of {
@@ -76,7 +77,12 @@ type response =
       fields : (string * Dt_obs.Json.t) list;
     }
       (** [{"ok":true,"output":OUTPUT,...fields}], [OUTPUT] being the
-          concatenation of [output]. *)
+          text of {!text_of_parts}[ output]. *)
+
+val text_of_parts : string array -> string
+(** The plain text of an answer's escaped parts: their concatenation,
+    unescaped. Raises [Invalid_argument] if it is not the body of a
+    JSON string. *)
 
 val response_json : response -> Dt_obs.Json.t
 (** The response as one JSON value, for in-process callers. *)

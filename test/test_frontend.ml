@@ -32,6 +32,13 @@ let test_lexer_continuation () =
     (List.length
        (List.filter (fun t -> t.Dt_frontend.Token.tok = Dt_frontend.Token.NEWLINE) toks))
 
+(* a unit's answer from the one-shot path, as `deptest analyze` prints it *)
+let one_shot source =
+  let progs = Dt_frontend.Lower.parse_unit source in
+  fst
+    (Dt_serve.Render.unit_ progs
+       (Deptest.Analyze.run_all (Deptest.Analyze.Config.make ~jobs:1 ()) progs))
+
 (* A statement joined by a trailing '&' is a statement, whatever its
    first letter: [C(I) = &] must not read as a comment line once joined.
    The joined and the one-line forms give the same answer, one-shot and
@@ -42,12 +49,6 @@ let test_ampersand_statement () =
   in
   let joined = unit_ "      C(I) = &\n      C(I+1)\n"
   and one_line = unit_ "      C(I) = C(I+1)\n" in
-  let one_shot source =
-    let progs = Dt_frontend.Lower.parse_unit source in
-    fst
-      (Dt_serve.Render.unit_ progs
-         (Deptest.Analyze.run_all (Deptest.Analyze.Config.make ~jobs:1 ()) progs))
-  in
   let want = one_shot one_line in
   check Alcotest.bool "the one-line form finds the carried anti dependence" true
     (Astring_contains.contains want "S0 -anti-> S0 C (<) carried level 1 d_I=1");
@@ -256,6 +257,137 @@ let test_symbolic_bounds () =
   check Alcotest.bool "upper bound symbolic" true
     (not (Affine.is_const l.Loop.hi))
 
+(* --- layout invariance --------------------------------------------------- *)
+
+(* A statement's tokens, as the lexer cuts them: runs of word bytes and
+   single punctuation bytes, blanks dropped. *)
+let tokens text =
+  let n = String.length text in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if text.[i] = ' ' then go (i + 1) acc
+    else if Dt_frontend.Lexer.is_alnum text.[i] then begin
+      let j = ref i in
+      while !j < n && Dt_frontend.Lexer.is_alnum text.[!j] do incr j done;
+      go !j (String.sub text i (!j - i) :: acc)
+    end
+    else go (i + 1) (String.make 1 text.[i] :: acc)
+  in
+  go 0 []
+
+let pick st a = a.(Random.State.int st (Array.length a))
+
+(* lines that carry no statement: blank, comment and '!' lines, two of
+   them holding END where it is a comment *)
+let filler =
+  [| ""; "   "; "C comment"; "c lower comment"; "* star"; "! bang";
+     "    ! indented bang"; "C     END"; "! END" |]
+
+(* One statement re-laid at random: lowercased or not, cut between
+   tokens by a trailing '&' (the next line is the statement's text,
+   indented anyhow, even from column one) or by a column-6
+   continuation (comment and blank lines may come before it), either
+   kind of cut after the other, each line with or without a '!'
+   comment. The first line is indented off
+   column six, and off column one when the statement starts with a
+   comment letter. *)
+let relay_statement st buf text =
+  let toks =
+    List.map
+      (if Random.State.int st 4 = 0 then String.lowercase_ascii else Fun.id)
+      (tokens text)
+  in
+  let line = Buffer.create 80 in
+  let bang () = if Random.State.int st 4 = 0 then " ! note" else "" in
+  let end_line tail =
+    Buffer.add_buffer buf line;
+    Buffer.add_string buf tail;
+    Buffer.add_char buf '\n';
+    Buffer.clear line
+  in
+  let word s = s <> "" && Dt_frontend.Lexer.is_alnum s.[0] in
+  let first = List.hd toks in
+  let indents =
+    match first.[0] with
+    | 'C' | 'c' | '*' -> [| 1; 2; 4; 6; 7; 9 |]
+    | _ -> [| 0; 1; 2; 4; 6; 7; 9 |]
+  in
+  Buffer.add_string line (String.make (pick st indents) ' ');
+  Buffer.add_string line first;
+  ignore
+    (List.fold_left
+       (fun prev tok ->
+         (match Random.State.int st 8 with
+         | 0 ->
+             end_line ((if Random.State.bool st then " &" else "&") ^ bang ());
+             Buffer.add_string line (String.make (Random.State.int st 9) ' ')
+         | 1 ->
+             end_line (bang ());
+             for _ = 1 to Random.State.int st 3 do
+               Buffer.add_string buf (pick st filler ^ "\n")
+             done;
+             Buffer.add_string line "     ";
+             Buffer.add_char line (pick st [| '+'; '&'; '1'; '*'; 'C'; '$' |]);
+             Buffer.add_string line (String.make (Random.State.int st 3) ' ')
+         | _ ->
+             Buffer.add_string line
+               (if word prev && word tok then " "
+                else if Random.State.bool st then " " else ""));
+         Buffer.add_string line tok;
+         tok)
+       first (List.tl toks));
+  end_line (bang ())
+
+let relay st source =
+  let buf = Buffer.create (2 * String.length source) in
+  List.iter
+    (fun text ->
+      if Random.State.int st 3 = 0 then
+        Buffer.add_string buf (pick st filler ^ "\n");
+      if String.trim text <> "" then relay_statement st buf text)
+    (String.split_on_char '\n' source);
+  Buffer.contents buf
+
+let rec unlined = function
+  | Dt_frontend.Ast.Assign a -> Dt_frontend.Ast.Assign { a with line = 0 }
+  | Dt_frontend.Ast.Continue c -> Dt_frontend.Ast.Continue { c with line = 0 }
+  | Dt_frontend.Ast.Do d ->
+      Dt_frontend.Ast.Do { d with line = 0; body = List.map unlined d.body }
+
+let ast_of source =
+  List.map
+    (fun (p : Dt_frontend.Ast.program) ->
+      { p with Dt_frontend.Ast.lines = 0; body = List.map unlined p.body })
+    (Dt_frontend.Parser.parse_unit source)
+
+(* Generated eight-routine units (the benchmark's generator settings;
+   odd units have a symbolic outer bound), printed by Emit and re-laid
+   four times each on a fixed seed schedule: every layout parses to
+   the printed unit's AST up to line numbers, and gets its answer byte
+   for byte, one-shot and through the daemon's engine. *)
+let test_layout_invariance () =
+  List.iter
+    (fun seed ->
+      for u = 0 to 5 do
+        let source = E2e_units.fresh ~seed u in
+        let ast = ast_of source and want = one_shot source in
+        let engine = Dt_serve.Engine.create ~jobs:1 () in
+        for k = 0 to 3 do
+          let laid = relay (Random.State.make [| seed; u; k |]) source in
+          let label = Printf.sprintf "seed %d unit %d layout %d" seed u k in
+          check Alcotest.bool (label ^ ": same AST") true
+            (match ast_of laid with
+            | a -> a = ast
+            | exception (Dt_frontend.Lexer.Error (m, l) | Dt_frontend.Parser.Error (m, l)) ->
+                Alcotest.failf "%s: line %d: %s\n%s" label l m laid);
+          check Alcotest.string (label ^ ": one-shot") want (one_shot laid);
+          match Dt_serve.Engine.analyze_source engine laid with
+          | Ok (out, _) -> check Alcotest.string (label ^ ": engine") want out
+          | Error msg -> Alcotest.failf "%s: %s" label msg
+        done
+      done)
+    [ 1; 61 ]
+
 let suite =
   [
     Alcotest.test_case "lexer basics" `Quick test_lexer;
@@ -276,4 +408,5 @@ let suite =
     Alcotest.test_case "index uniquification" `Quick test_index_uniquification;
     Alcotest.test_case "written scalars" `Quick test_written_scalar_in_subscript;
     Alcotest.test_case "symbolic bounds" `Quick test_symbolic_bounds;
+    Alcotest.test_case "layout invariance" `Quick test_layout_invariance;
   ]

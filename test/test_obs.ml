@@ -654,7 +654,7 @@ deptest_serve_answered_total{tier="response"} 1
 |parity}
 
 let expected_daemon_health =
-  {parity|{"ok":true,"status":"ok","jobs":1,"uptime_ns":"*","requests":6,"in_flight":1,"connections":2,"errors":2,"protocol_errors":1,"pid":"*","saturation":{"in_flight":1,"queue_depth":2,"max_inflight":0,"queue_deadline_ms":0,"shed":1,"deadline_exceeded":1,"injected_faults":1,"restarts":0},"trace":{"sample_period":1,"slow_threshold_ns":"*","ledger_total":4},"cache":{"memo_hits":2,"memo_misses":4,"memo_entries":4},"disk":{"dir":"*","resident":2,"resident_bytes":519,"segments":0}}|parity}
+  {parity|{"ok":true,"status":"ok","jobs":1,"uptime_ns":"*","requests":6,"in_flight":1,"connections":2,"errors":2,"protocol_errors":1,"pid":"*","saturation":{"in_flight":1,"queue_depth":2,"max_inflight":0,"queue_deadline_ms":0,"shed":1,"deadline_exceeded":1,"injected_faults":1,"restarts":0},"trace":{"sample_period":1,"slow_threshold_ns":"*","ledger_total":4},"cache":{"memo_hits":2,"memo_misses":4,"memo_entries":4},"disk":{"dir":"*","resident":2,"resident_bytes":540,"segments":0}}|parity}
 
 let expected_daemon_json =
   {parity|{"ok":true,"metrics":{"schema":"deptest-metrics/2","tests":[{"kind":"ziv","name":"ZIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"strong_siv","name":"strong SIV","applied":6,"independent":0,"total_ns":"*"},{"kind":"weak_zero_siv","name":"weak-zero SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"weak_crossing_siv","name":"weak-crossing SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"exact_siv","name":"exact SIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"rdiv","name":"RDIV","applied":0,"independent":0,"total_ns":"*"},{"kind":"gcd_miv","name":"GCD","applied":0,"independent":0,"total_ns":"*"},{"kind":"banerjee_miv","name":"Banerjee","applied":0,"independent":0,"total_ns":"*"},{"kind":"delta","name":"Delta","applied":2,"independent":1,"total_ns":"*"},{"kind":"symbolic_ziv","name":"symbolic ZIV","applied":0,"independent":0,"total_ns":"*"}],"phases":{"parse_ns":"*","partition_ns":"*","test_ns":"*","merge_ns":"*"},"pairs":{"tested":6,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=1us","count":"*"},{"le_ns":"*","label":"<=10us","count":"*"},{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":">10ms","count":"*"}]},"cache":{"hits":2,"misses":4,"hit_rate":0.33333333333333331,"size":4,"evictions":0,"disk_hits":1,"disk_misses":3,"disk_invalid":0},"banerjee":{"kernel_compilations":0,"incremental_nodes":0,"scratch_nodes":0,"combo_cap_fallbacks":0},"guard":{"degraded":0,"by_reason":{"overflow":0,"exception":0,"budget":0}},"engine":{"registries":2,"shards":0,"domains":[{"domain":0,"tasks":2,"steals":0,"busy_ns":"*","queue_wait_ns":"*"}],"tasks":2,"steals":0,"busy_ns":"*","queue_wait_ns":"*"},"serve":{"endpoints":[{"endpoint":"analyze","requests":5,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"flush","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"health","requests":1,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"metrics","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"shutdown","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"slow","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"top","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]},{"endpoint":"trace-last","requests":0,"total_ns":"*","latency_hist":[{"le_ns":"*","label":"<=100us","count":"*"},{"le_ns":"*","label":"<=1ms","count":"*"},{"le_ns":"*","label":"<=10ms","count":"*"},{"le_ns":"*","label":"<=100ms","count":"*"},{"le_ns":"*","label":"<=1s","count":"*"},{"le_ns":"*","label":"<=10s","count":"*"},{"le_ns":"*","label":">10s","count":"*"}]}],"answered":{"cold":1,"memo":1,"none":1,"response":1}}},"serve":{"requests":7,"analyses":2,"response_hits":1,"response_misses":3,"errors":2,"protocol_errors":1,"connections":2,"in_flight":1,"traced":4,"saturation":{"in_flight":1,"queue_depth":2,"max_inflight":0,"queue_deadline_ms":0,"shed":1,"deadline_exceeded":1,"injected_faults":1,"restarts":0}}}|parity}

@@ -626,7 +626,8 @@ let damage_stored_answer dir baseline =
   ignore (Dt_serve.Engine.flush e);
   let seg = Filename.concat dir "seg-0.bin" in
   let text = Bytes.of_string (read_file seg) in
-  let at = index_of (Bytes.to_string text) baseline + (String.length baseline / 2) in
+  let stored = Json.escape baseline in
+  let at = index_of (Bytes.to_string text) stored + (String.length stored / 2) in
   Bytes.set text at (Char.chr (Char.code (Bytes.get text at) lxor 1));
   write_file seg (Bytes.to_string text)
 
@@ -1472,6 +1473,26 @@ let output_of_handle e source =
   | Some (Json.String s) -> s
   | _ -> Alcotest.fail "analyze failed"
 
+(* every base routine's one-shot render, under the response tier's key
+   for it ("rn:" and the MD5 of its piece: a base unit has 8 routines) *)
+let base_renders () =
+  let renders = Hashtbl.create 512 in
+  Array.iter
+    (fun source ->
+      let progs = Dt_frontend.Lower.parse_unit source in
+      let results =
+        Deptest.Analyze.run_all (Deptest.Analyze.Config.make ~jobs:1 ()) progs
+      in
+      List.iteri
+        (fun i (_, piece) ->
+          Hashtbl.replace renders
+            ("rn:" ^ Digest.to_hex (Digest.string piece))
+            (fst (Dt_serve.Render.routine ~many:true (List.nth progs i)
+                    (List.nth results i))))
+        (pieces source))
+    (base_sources ());
+  renders
+
 (* A fixed edit sequence at one job: the store seeded with the 64 base
    units, a restart, then 32 seed-1 serve-edit requests and the 64 base
    units again. Each edit misses the one routine it changed and hits the
@@ -1486,8 +1507,22 @@ let test_pinned_edit_counts () =
   let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
   let store = Option.get (Dt_serve.Engine.store e) in
   let seeded = Store.length store in
-  (* one rendered text per base routine, and nothing else *)
+  (* one rendered text per base routine, and nothing else, each stored
+     as the body of a JSON string that reads back as the one-shot text.
+     Json.of_string lets raw control bytes through, so the value is also
+     checked to be the escaped text itself: a raw newline on the wire is
+     not JSON. *)
   check int "seeded store entries" 512 seeded;
+  let renders = base_renders () in
+  Store.fold store ~init:() ~f:(fun () key value ->
+      let render =
+        Option.value (Hashtbl.find_opt renders key) ~default:"(no routine)"
+      in
+      (match Json.of_string ("\"" ^ value ^ "\"") with
+      | Ok (Json.String text) ->
+          check string (key ^ ": stored = one-shot render") render text
+      | _ -> Alcotest.failf "%s: not a JSON string body" key);
+      check string (key ^ ": stored escaped") (Json.escape render) value);
   let edits = List.init 32 (E2e_units.edit ~seed:1 (Lazy.force base_units)) in
   List.iteri
     (fun i s ->
@@ -1568,8 +1603,9 @@ let test_pinned_statement_edits () =
 
 (* stores of earlier schemas must read as invalid and the engine answer
    as if cold: a diskcache/3 store, written by the unit-keyed response
-   tier, and a diskcache/4 one, which held pair verdicts ("p:") beside
-   the routines *)
+   tier, a diskcache/4 one, which held pair verdicts ("p:") beside the
+   routines, and a diskcache/5 one, whose routine texts are raw, not the
+   escaped wire bytes (sent as they are, these would not be JSON) *)
 let test_older_schema_stores () =
   let baseline = in_process_output () in
   let fingerprint = Dt_serve.Engine.store_fingerprint ~build:Dt_obs.Build_id.git in
@@ -1596,6 +1632,11 @@ let test_older_schema_stores () =
           ( "p:0|A(%0+1)|A(%0)",
             {|{"result":"indep","meta":{},"counters":[],"producer":[]}|} );
         ] );
+      ( "deptest-diskcache/5",
+        [
+          ("r1:" ^ digest, "a \"stale\" answer\\\n");
+          ("rn:" ^ digest, "line one\nline \"two\" \\ end\n");
+        ] );
     ]
 
 (* the bytes a frame carries on the wire, written to a file *)
@@ -1611,13 +1652,14 @@ let frame_bytes write =
   (bytes, raised)
 
 (* the reusable response frame sends exactly what Frame.write of the
-   response's JSON text sends, answers split into parts included *)
+   response's JSON text sends, answers split into parts included: an
+   answer's parts are escaped texts, as the response tier stores them *)
 let test_response_frame () =
   let out = Frame.Out.create () in
   let answer parts =
     Dt_serve.Protocol.Answer
       {
-        output = parts;
+        output = Array.map Json.escape parts;
         fields = [ ("degraded", Json.Int 0); ("trace_id", Json.String "0123456789abcdef") ];
       }
   in
@@ -1704,6 +1746,6 @@ let suite =
     ("error parity across routines", `Quick, test_error_parity);
     ("pinned counts on a fixed edit sequence", `Quick, test_pinned_edit_counts);
     ("pinned memo counts on one-statement edits", `Quick, test_pinned_statement_edits);
-    ("diskcache/3 and /4 stores open cold", `Quick, test_older_schema_stores);
+    ("diskcache/3, /4 and /5 open cold", `Quick, test_older_schema_stores);
     ("response frame bytes = Frame.write", `Quick, test_response_frame);
   ]
