@@ -100,9 +100,12 @@ let jobs_arg =
     value & opt int 0
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel pair-testing engine; 0 (the \
-           default) means one per available core. The analysis result is \
-           identical at every setting.")
+          "Worker domains for the parallel pair-testing engine. 0 (the \
+           default) is auto: one worker per available core, but a file of \
+           fewer than 8 routines is not sharded by routine and a routine of \
+           fewer than 256 reference pairs runs on one domain. An explicit N \
+           is honoured (serve caps it at the core count). The analysis \
+           result is identical at every setting.")
 
 let no_cache_arg =
   Arg.(

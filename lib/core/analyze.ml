@@ -608,13 +608,11 @@ let run (cfg : Config.t) prog =
   in
   let results = Array.make n None in
   let ctx = ctx_of cfg ~deadline_ns in
-  (* mirror [Pool.run]'s worker-count resolution so the states (and
+  (* resolve the worker count as [Pool.run] will, so the states (and
      their span buffers / engine registries) can be created eagerly,
      before the domains spawn — [Span.buffer] takes the profiler lock,
      which must not happen concurrently with buffer lookups *)
-  let pjobs =
-    if jobs <= 0 then Dt_support.Pool.recommended_jobs () else jobs
-  in
+  let pjobs = Dt_support.Pool.workers jobs in
   let njobs =
     if n = 0 then 0
     else begin
@@ -710,9 +708,7 @@ let run_all (cfg : Config.t) progs =
        instead); [deadline_ms = 0] still degrades every pair of every
        routine deterministically *)
     let ctx = ctx_of cfg ~deadline_ns:(deadline_of deadline_ms) in
-    let pjobs =
-      if jobs <= 0 then Dt_support.Pool.recommended_jobs () else jobs
-    in
+    let pjobs = Dt_support.Pool.workers jobs in
     let njobs =
       let j = min pjobs n in
       if j <= 1 then 1 else j

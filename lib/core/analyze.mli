@@ -135,6 +135,15 @@ val sites : ?include_inputs:bool -> Nest.program -> site array
     same array (read-read pairs only when [include_inputs]), in the
     deterministic order the sequential driver has always used. *)
 
+val min_parallel_sites : int
+(** In auto mode ([jobs = 0]) {!run} fans out to worker domains only
+    when a routine has at least this many reference pairs; below it a
+    spawned domain costs more than the pairs it would test. *)
+
+val min_parallel_routines : int
+(** In auto mode {!run_all} shards routines across worker domains only
+    when the batch has at least this many routines. *)
+
 val run : Config.t -> Nest.program -> result
 (** Analyze one program under the given configuration. *)
 

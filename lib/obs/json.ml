@@ -118,16 +118,63 @@ let hex_digit = function
   | 'A' .. 'F' as c -> Char.code c - 55
   | _ -> -1
 
-(* the first index from [i] holding '"' or '\\', or the length of [s] *)
-let scan_run s i =
-  let i = ref i in
+(* The has-less-than test on the eight bytes of a word,
+   [(x - 0x0101..*k) land lnot x land 0x8080..]: nonzero when some byte
+   of [x] is below [k]. It is exact at the lowest such byte, so after a
+   failed word test the byte loop meets a special byte within eight. *)
+let[@inline] any_below x k =
+  Int64.(logand (logand (sub x k) (lognot x)) 0x8080808080808080L) <> 0L
+
+(* whether none of the eight bytes at [i] is a control byte (below
+   0x20), '"' or '\\' *)
+let[@inline] plain8 s i =
+  let w = String.get_int64_le s i in
+  not
+    (any_below w 0x2020202020202020L
+    || any_below (Int64.logxor w 0x2222222222222222L) 0x0101010101010101L
+    || any_below (Int64.logxor w 0x5c5c5c5c5c5c5c5cL) 0x0101010101010101L)
+
+(* One scan of a string body from [i] to its closing quote, eight plain
+   bytes at a time: the quote's index and the bytes its escapes drop (a
+   two-byte escape decodes to one byte, a six-byte [\\u] escape to at
+   most three). A raw control byte is an error (RFC 8259 §7). *)
+let rec scan_string s i drop =
+  if i + 8 <= String.length s && plain8 s i then scan_string s (i + 8) drop
+  else scan_bytes s i drop
+
+and scan_bytes s i drop =
+  let n = String.length s in
+  if i >= n then raise (Parse_error (n, "unterminated string"))
+  else
+    match String.unsafe_get s i with
+    | '"' -> (i, drop)
+    | '\\' ->
+        if i + 1 >= n then raise (Parse_error (n, "unterminated escape"))
+        else if String.unsafe_get s (i + 1) = 'u' then
+          scan_string s (i + 2) (drop + 3)
+        else scan_string s (i + 2) (drop + 1)
+    | c when c < ' ' ->
+        raise
+          (Parse_error
+             (i, Printf.sprintf "raw control byte 0x%02x in string" (Char.code c)))
+    | _ -> scan_bytes s (i + 1) drop
+
+(* the first index in [i, q) holding '\\', or [q] *)
+let next_backslash s i q =
+  let k = ref i in
   while
-    !i < String.length s
-    && (match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true)
+    !k + 8 <= q
+    && not
+         (any_below
+            (Int64.logxor (String.get_int64_le s !k) 0x5c5c5c5c5c5c5c5cL)
+            0x0101010101010101L)
   do
-    incr i
+    k := !k + 8
   done;
-  !i
+  while !k < q && String.unsafe_get s !k <> '\\' do
+    incr k
+  done;
+  !k
 
 let of_string s =
   let n = String.length s in
@@ -152,24 +199,20 @@ let of_string s =
     end
     else fail ("expected " ^ word)
   in
-  let utf8_of_code buf c =
+  (* write byte [c] at [j] of the decoded string, return the next index *)
+  let put b j c = Bytes.set b j (Char.unsafe_chr c); j + 1 in
+  let utf8_of_code b j c =
     (* encode one Unicode scalar (or lone surrogate, passed through) *)
-    if c < 0x80 then Buffer.add_char buf (Char.chr c)
-    else if c < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xc0 lor (c lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3f)))
-    end
-    else if c < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xe0 lor (c lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((c lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3f)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xf0 lor (c lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((c lsr 12) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((c lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3f)))
-    end
+    if c < 0x80 then put b j c
+    else if c < 0x800 then
+      put b (put b j (0xc0 lor (c lsr 6))) (0x80 lor (c land 0x3f))
+    else if c < 0x10000 then
+      let j = put b j (0xe0 lor (c lsr 12)) in
+      put b (put b j (0x80 lor ((c lsr 6) land 0x3f))) (0x80 lor (c land 0x3f))
+    else
+      let j = put b j (0xf0 lor (c lsr 18)) in
+      let j = put b j (0x80 lor ((c lsr 12) land 0x3f)) in
+      put b (put b j (0x80 lor ((c lsr 6) land 0x3f))) (0x80 lor (c land 0x3f))
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
@@ -180,65 +223,61 @@ let of_string s =
     if d0 lor d1 lor d2 lor d3 < 0 then fail "invalid \\u escape";
     (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
   in
-  (* one escape, [!pos] just past its backslash *)
-  let unescape buf =
-    if !pos >= n then fail "unterminated escape";
+  (* one escape, [!pos] just past its backslash, decoded at [j] of [b] *)
+  let unescape b j =
     let c = s.[!pos] in
     incr pos;
     match c with
-    | '"' -> Buffer.add_char buf '"'
-    | '\\' -> Buffer.add_char buf '\\'
-    | '/' -> Buffer.add_char buf '/'
-    | 'n' -> Buffer.add_char buf '\n'
-    | 'r' -> Buffer.add_char buf '\r'
-    | 't' -> Buffer.add_char buf '\t'
-    | 'b' -> Buffer.add_char buf '\b'
-    | 'f' -> Buffer.add_char buf '\012'
+    | '"' | '\\' | '/' -> put b j (Char.code c)
+    | 'n' -> put b j 0x0a
+    | 'r' -> put b j 0x0d
+    | 't' -> put b j 0x09
+    | 'b' -> put b j 0x08
+    | 'f' -> put b j 0x0c
     | 'u' ->
         let c1 = hex4 () in
-        let code =
-          if c1 >= 0xd800 && c1 <= 0xdbff && !pos + 6 <= n
-             && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-          then begin
-            pos := !pos + 2;
-            let c2 = hex4 () in
-            if c2 >= 0xdc00 && c2 <= 0xdfff then
-              0x10000 + ((c1 - 0xd800) lsl 10) + (c2 - 0xdc00)
-            else begin
-              utf8_of_code buf c1;
-              c2
-            end
-          end
-          else c1
-        in
-        utf8_of_code buf code
+        if c1 >= 0xd800 && c1 <= 0xdbff && !pos + 6 <= n
+           && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+        then begin
+          pos := !pos + 2;
+          let c2 = hex4 () in
+          if c2 >= 0xdc00 && c2 <= 0xdfff then
+            utf8_of_code b j (0x10000 + ((c1 - 0xd800) lsl 10) + (c2 - 0xdc00))
+          else utf8_of_code b (utf8_of_code b j c1) c2
+        end
+        else utf8_of_code b j c1
     | _ -> fail "invalid escape"
   in
-  (* a string without escapes is one [String.sub]; otherwise the runs
-     between escapes are copied whole *)
+  (* The decoded string is written into one allocation, sized by the
+     scan; one without escapes is one [String.sub]. Only a [\\u]
+     escape can decode shorter than the scan allowed for, and then the
+     result is trimmed. *)
   let parse_string () =
     expect '"';
     let start = !pos in
-    let i = scan_run s start in
-    if i < n && s.[i] = '"' then begin
-      pos := i + 1;
-      String.sub s start (i - start)
+    let q, drop = scan_string s start 0 in
+    let len = q - start - drop in
+    if drop = 0 then begin
+      pos := q + 1;
+      String.sub s start len
     end
     else begin
-      let buf = Buffer.create (2 * (i - start) + 16) in
-      (* [s.[!pos .. i-1]] is a plain run and [i] is n, '"' or '\\' *)
-      let rec go i =
-        Buffer.add_substring buf s !pos (i - !pos);
-        pos := i;
-        if i >= n then fail "unterminated string";
-        pos := i + 1;
-        if s.[i] = '\\' then begin
-          unescape buf;
-          go (scan_run s !pos)
+      let b = Bytes.create len in
+      (* copy the run up to the next escape, decode the escape, repeat *)
+      let rec go i j =
+        let k = next_backslash s i q in
+        Bytes.blit_string s i b j (k - i);
+        let j = j + (k - i) in
+        if k >= q then j
+        else begin
+          pos := k + 1;
+          let j = unescape b j in
+          go !pos j
         end
       in
-      go i;
-      Buffer.contents buf
+      let j = go start 0 in
+      pos := q + 1;
+      if j = len then Bytes.unsafe_to_string b else Bytes.sub_string b 0 j
     end
   in
   let is_digit c = c >= '0' && c <= '9' in

@@ -47,7 +47,8 @@ val escape : string -> string
 val of_string : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error. The error
     string includes the byte offset. A [\u] escape takes exactly four
-    hex digits. *)
+    hex digits, and a raw byte below 0x20 inside a string is an error
+    (RFC 8259 §7: it must be escaped). *)
 
 val equal : t -> t -> bool
 (** Structural equality; object field order is significant. *)

@@ -59,7 +59,7 @@ let register_cells m =
     deadline_exceeded; restarts_total; injected_faults; queue_depth }
 
 type t = {
-  jobs : int;
+  jobs : int;  (* the worker ceiling, as [health] reports it *)
   config : Deptest.Analyze.Config.t;  (* shared: one memo cache for all *)
   store : Store.t option;
   metrics : Metrics.t;
@@ -105,7 +105,13 @@ let store_fingerprint ~build =
 let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
     ?(slow_threshold_ns = 0L) ?(ledger_recent = 64) ?(ledger_top = 16)
     ?(max_inflight = 0) ?(queue_deadline_ms = 0) ?(restarts = 0) () =
-  let jobs = Dt_support.Pool.clamp_auto jobs in
+  (* auto (0) stays auto in the analysis configuration, so work too
+     small to pay for a worker domain (an edited routine, a unit of a
+     few small routines) runs on the calling domain, exactly as one-shot
+     [analyze] runs it; an explicit count is capped at the core count *)
+  let jobs =
+    if jobs <= 0 then 0 else min jobs (Dt_support.Pool.recommended_jobs ())
+  in
   let metrics = Metrics.create () in
   (* pre-register every endpoint and tier series so a scrape's series
      set never depends on what traffic arrived first *)
@@ -124,7 +130,7 @@ let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
     Deptest.Analyze.Config.make ~jobs ?cache_capacity ~metrics ()
   in
   {
-    jobs;
+    jobs = Dt_support.Pool.workers jobs;
     config;
     store;
     metrics;

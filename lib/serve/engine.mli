@@ -60,8 +60,13 @@ val create :
   ?restarts:int ->
   unit ->
   t
-(** [jobs] is resolved through {!Dt_support.Pool.clamp_auto} (never
-    oversubscribe). [cache_dir] attaches the persistent store, keyed by
+(** [jobs] follows one-shot [analyze]'s parallelism policy: [0] (the
+    default) is auto, so a unit of fewer than
+    {!Deptest.Analyze.min_parallel_routines} routines is not sharded, a
+    routine below {!Deptest.Analyze.min_parallel_sites} pairs is
+    analyzed on the calling domain, and only larger work fans out to
+    {!Dt_support.Pool.recommended_jobs} workers. An explicit count is
+    honoured, capped at the core count (never oversubscribe). [cache_dir] attaches the persistent store, keyed by
     {!store_fingerprint} of this build; omitted means in-memory only.
     [cache_capacity] bounds both the memo and the store.
 
@@ -84,7 +89,8 @@ val store_fingerprint : build:string -> string
     any other. {!create} uses {!Dt_obs.Build_id.git}. *)
 
 val jobs : t -> int
-(** The clamped worker count actually in use. *)
+(** The worker ceiling ({!Dt_support.Pool.workers} of the capped
+    request): the most domains one analysis may use. *)
 
 val store : t -> Dt_engine.Store.t option
 

@@ -51,7 +51,11 @@ let serve_frame ?admission engine out fd =
       in
       let response, stop =
         match req with
-        | Error msg -> (Protocol.Reply (Protocol.error msg), false)
+        | Error msg ->
+            (* bad JSON or an unsupported version: answered in-protocol
+               and counted, the connection stays usable *)
+            Engine.note_protocol_error engine;
+            (Protocol.Reply (Protocol.error msg), false)
         | Ok r -> (Engine.respond ?admission engine r, r = Protocol.Shutdown)
       in
       (* response-path chaos: the request has executed; the faults decide

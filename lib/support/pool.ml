@@ -1,8 +1,6 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-let clamp_auto jobs =
-  let r = recommended_jobs () in
-  if jobs <= 0 || jobs > r then r else jobs
+let workers jobs = if jobs <= 0 then recommended_jobs () else jobs
 
 type probe = {
   worker_start : int -> unit;
@@ -43,7 +41,7 @@ type 'w t = {
 }
 
 let create ?(jobs = 0) ?(grain = 0) ?(hooks = default_hooks) () =
-  let pjobs = if jobs <= 0 then recommended_jobs () else jobs in
+  let pjobs = workers jobs in
   {
     pjobs;
     pgrain = (if grain < 0 then 0 else grain);

@@ -33,13 +33,15 @@
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-val clamp_auto : int -> int
-(** Resolve a jobs request against the machine: [0] (auto) and anything
-    above {!recommended_jobs} clamp to {!recommended_jobs}; an explicit
-    [1 <= jobs <= recommended] is kept. Oversubscribing domains is never
-    profitable — on a 2-core box, 64 miv-batch units through
-    [Analyze.run_all] took 2.0–2.1x as long at jobs 4 as at jobs 2 —
-    so auto selection must never exceed the core count. *)
+val workers : int -> int
+(** The worker ceiling a jobs request resolves to: [jobs <= 0] (auto)
+    is {!recommended_jobs}, an explicit count is kept as given. The one
+    resolution rule: {!create} and [Analyze] both go through it, and the
+    daemon reports it as its ceiling. Whether an auto run actually fans
+    out is [Analyze]'s policy (small nests and small routine batches
+    stay on the calling domain); explicit oversubscription is the
+    caller's to cap — on a 2-core box, 64 miv-batch units through
+    [Analyze.run_all] took 2.0–2.1x as long at jobs 4 as at jobs 2. *)
 
 type probe = {
   worker_start : int -> unit;  (** worker [w] begins its loop *)
@@ -92,8 +94,8 @@ type 'w t
     [on_error] may touch. *)
 
 val create : ?jobs:int -> ?grain:int -> ?hooks:'w hooks -> unit -> 'w t
-(** [jobs] is the worker count; [0] (the default) means
-    {!recommended_jobs}. [grain] is the leaf size of the lazy binary
+(** [jobs] is the worker count, resolved by {!workers}: [0] (the
+    default) means {!recommended_jobs}. [grain] is the leaf size of the lazy binary
     split — ranges at most this long are executed without further
     splitting; [0] (the default) picks [clamp (n / (workers * 8)) 1 64]
     per run, the grain the chunked scheduler used. *)

@@ -338,15 +338,31 @@ let relay_statement st buf text =
        first (List.tl toks));
   end_line (bang ())
 
-let relay st source =
+(* [relay] over a whole source. With [~break:i], line [i] of the source
+   (an assignment) is also broken by a second '=' after its first: the
+   result then comes with the physical line that statement starts on. *)
+let relay ?(break = -1) st source =
   let buf = Buffer.create (2 * String.length source) in
-  List.iter
-    (fun text ->
+  let broken = ref 0 in
+  List.iteri
+    (fun i text ->
       if Random.State.int st 3 = 0 then
         Buffer.add_string buf (pick st filler ^ "\n");
-      if String.trim text <> "" then relay_statement st buf text)
+      if String.trim text <> "" then begin
+        let text =
+          if i <> break then text
+          else begin
+            broken :=
+              1 + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0
+                    (Buffer.contents buf);
+            let eq = String.index text '=' in
+            String.sub text 0 eq ^ "= " ^ String.sub text eq (String.length text - eq)
+          end
+        in
+        relay_statement st buf text
+      end)
     (String.split_on_char '\n' source);
-  Buffer.contents buf
+  (Buffer.contents buf, !broken)
 
 let rec unlined = function
   | Dt_frontend.Ast.Assign a -> Dt_frontend.Ast.Assign { a with line = 0 }
@@ -360,11 +376,25 @@ let ast_of source =
       { p with Dt_frontend.Ast.lines = 0; body = List.map unlined p.body })
     (Dt_frontend.Parser.parse_unit source)
 
+(* the source's assignment lines: an '=' and no DO *)
+let assignments source =
+  List.concat
+    (List.mapi
+       (fun i text ->
+         let t = String.trim text in
+         if String.contains t '=' && not (String.starts_with ~prefix:"DO " t)
+         then [ i ]
+         else [])
+       (String.split_on_char '\n' source))
+
 (* Generated eight-routine units (the benchmark's generator settings;
    odd units have a symbolic outer bound), printed by Emit and re-laid
    four times each on a fixed seed schedule: every layout parses to
    the printed unit's AST up to line numbers, and gets its answer byte
-   for byte, one-shot and through the daemon's engine. *)
+   for byte, one-shot and through the daemon's engine. Each layout is
+   then laid again with one assignment, picked at random, broken: the
+   syntax error names that statement's first physical line, one-shot
+   and through the engine. *)
 let test_layout_invariance () =
   List.iter
     (fun seed ->
@@ -373,7 +403,7 @@ let test_layout_invariance () =
         let ast = ast_of source and want = one_shot source in
         let engine = Dt_serve.Engine.create ~jobs:1 () in
         for k = 0 to 3 do
-          let laid = relay (Random.State.make [| seed; u; k |]) source in
+          let laid = fst (relay (Random.State.make [| seed; u; k |]) source) in
           let label = Printf.sprintf "seed %d unit %d layout %d" seed u k in
           check Alcotest.bool (label ^ ": same AST") true
             (match ast_of laid with
@@ -381,9 +411,24 @@ let test_layout_invariance () =
             | exception (Dt_frontend.Lexer.Error (m, l) | Dt_frontend.Parser.Error (m, l)) ->
                 Alcotest.failf "%s: line %d: %s\n%s" label l m laid);
           check Alcotest.string (label ^ ": one-shot") want (one_shot laid);
-          match Dt_serve.Engine.analyze_source engine laid with
+          (match Dt_serve.Engine.analyze_source engine laid with
           | Ok (out, _) -> check Alcotest.string (label ^ ": engine") want out
-          | Error msg -> Alcotest.failf "%s: %s" label msg
+          | Error msg -> Alcotest.failf "%s: %s" label msg);
+          let st = Random.State.make [| seed; u; k; 1 |] in
+          let break = pick st (Array.of_list (assignments source)) in
+          let bad, line = relay ~break st source in
+          let label = Printf.sprintf "%s, line %d broken" label line in
+          check Alcotest.int (label ^ ": one-shot error line") line
+            (match Dt_frontend.Lower.parse_unit bad with
+            | _ -> Alcotest.failf "%s: parsed\n%s" label bad
+            | exception Dt_frontend.Parser.Error (_, l) -> l);
+          match Dt_serve.Engine.analyze_source engine bad with
+          | Ok _ -> Alcotest.failf "%s: the engine parsed it" label
+          | Error msg ->
+              check Alcotest.bool (label ^ ": engine error line") true
+                (String.starts_with
+                   ~prefix:(Printf.sprintf "line %d: syntax error" line)
+                   msg)
         done
       done)
     [ 1; 61 ]

@@ -134,8 +134,16 @@ let json_table =
     ("\"\\ud83d\\u00\"", "JSON parse error at offset 9: truncated \\u escape");
     ("\"\195\169\226\130\172\"", "\"\\195\\169\\226\\130\\172\"");
     ("\"\\u0000\"", "\"\\000\"");
-    ("\"a\nb\"", "\"a\\nb\"");
-    ("\"\000\001\031\127\"", "\"\\000\\001\\031\\127\"");
+    (* RFC 8259 §7: a raw control byte is an error; its escape parses *)
+    ("\"a\nb\"", "JSON parse error at offset 2: raw control byte 0x0a in string");
+    ("\"a\\nb\"", "\"a\\nb\"");
+    ("\"a\tb\"", "JSON parse error at offset 2: raw control byte 0x09 in string");
+    ("\"a\\tb\"", "\"a\\tb\"");
+    ("\"\000\"", "JSON parse error at offset 1: raw control byte 0x00 in string");
+    ("\"\\u0000\\u001f\"", "\"\\000\\031\"");
+    ("\"abcdefgh\031\"", "JSON parse error at offset 9: raw control byte 0x1f in string");
+    ("{\"k\n\":1}", "JSON parse error at offset 3: raw control byte 0x0a in string");
+    ("\"\127\"", "\"\\127\"");
     ("\"\255\254\"", "\"\\255\\254\"");
     ("\"\\u12\"", "JSON parse error at offset 3: truncated \\u escape");
     ("\"\\u12G4\"", "JSON parse error at offset 7: invalid \\u escape");

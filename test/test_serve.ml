@@ -708,18 +708,54 @@ let test_store_fingerprint_build () =
   check int "other build starts empty" 0 (Store.length s2);
   check int "other build counts the segment invalid" 1 (Store.invalid s2)
 
-(* --- clamp ------------------------------------------------------------ *)
+(* --- jobs ------------------------------------------------------------- *)
 
+(* the daemon resolves jobs as one-shot analyze does: auto stays auto
+   and reports the core count as its ceiling, an explicit count is kept
+   up to the core count and capped above it *)
 let test_clamp_auto () =
   let r = Dt_support.Pool.recommended_jobs () in
-  check int "auto resolves to recommended" r (Dt_support.Pool.clamp_auto 0);
-  check int "negative resolves to recommended" r
-    (Dt_support.Pool.clamp_auto (-3));
-  check int "explicit 1 kept" 1 (Dt_support.Pool.clamp_auto 1);
-  check int "oversubscription clamped" r
-    (Dt_support.Pool.clamp_auto (r + 5));
-  check int "engine never oversubscribes" r
-    (Dt_serve.Engine.jobs (Dt_serve.Engine.create ~jobs:(r + 16) ()))
+  let jobs ?jobs () = Dt_serve.Engine.jobs (Dt_serve.Engine.create ?jobs ()) in
+  check int "auto reports the core count" r (jobs ());
+  check int "negative is auto" r (jobs ~jobs:(-3) ());
+  check int "explicit 1 kept" 1 (jobs ~jobs:1 ());
+  check int "engine never oversubscribes" r (jobs ~jobs:(r + 16) ());
+  check int "health reports the ceiling" r
+    (int_at (Dt_serve.Engine.create ()) Dt_serve.Protocol.Health [ "jobs" ])
+
+(* auto mode keeps a one-routine unit below Analyze's site threshold on
+   the calling domain: one worker registry, work on domain 0 only. An
+   explicit jobs 2 still fans the same unit out to two workers. *)
+let test_auto_jobs_small_unit () =
+  let engine_after e =
+    (match Dt_serve.Engine.analyze_source e src with
+    | Ok (out, _) -> check string "answer = one-shot" (one_shot src) out
+    | Error msg -> Alcotest.fail msg);
+    let m =
+      json_path [ "metrics"; "engine" ]
+        (Dt_serve.Engine.handle e (Dt_serve.Protocol.Metrics { prometheus = false }))
+    in
+    let domains =
+      match json_path [ "domains" ] m with
+      | Json.List ds ->
+          List.map (fun d ->
+              match json_path [ "domain" ] d with
+              | Json.Int w -> w
+              | _ -> Alcotest.fail "domain is not an int") ds
+      | _ -> Alcotest.fail "domains is not a list"
+    in
+    (json_path [ "registries" ] m, domains)
+  in
+  check bool "the unit is below the site threshold" true
+    (Array.length (Deptest.Analyze.sites (List.hd (Dt_frontend.Lower.parse_unit src)))
+     < Deptest.Analyze.min_parallel_sites);
+  let registries, domains = engine_after (Dt_serve.Engine.create ()) in
+  check bool "auto: one worker registry" true (registries = Json.Int 1);
+  check (Alcotest.list int) "auto: work on domain 0 only" [ 0 ] domains;
+  if Dt_support.Pool.recommended_jobs () >= 2 then begin
+    let registries, _ = engine_after (Dt_serve.Engine.create ~jobs:2 ()) in
+    check bool "jobs 2: two worker registries" true (registries = Json.Int 2)
+  end
 
 (* --- server end-to-end ------------------------------------------------ *)
 
@@ -991,6 +1027,38 @@ let test_oversize_frame_connection () =
     (match Json.member "protocol_errors" health with
     | Some (Json.Int n) -> n >= 1
     | _ -> false)
+
+(* a request whose source carries a raw newline is not JSON (RFC 8259
+   §7): the daemon answers with a structured error, counts it as a
+   protocol error, and the connection keeps serving *)
+let test_raw_control_byte_request () =
+  with_server ~jobs:1 @@ fun sock ->
+  let fd = raw_connect sock in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (* the request's JSON with the source written in raw: it has no
+     quote or backslash, only the newlines an escape would carry *)
+  let raw =
+    Printf.sprintf {|{"op":"analyze","v":%d,"source":"%s"}|}
+      Dt_serve.Protocol.version src
+  in
+  check bool "the frame carries raw newlines" true (String.contains raw '\n');
+  Frame.write fd raw;
+  let resp = raw_recv fd in
+  check bool "error response" true (Json.member "ok" resp = Some (Json.Bool false));
+  check bool "names the raw control byte" true
+    (match Json.member "error" resp with
+    | Some (Json.String e) ->
+        Astring_contains.contains e "bad JSON"
+        && Astring_contains.contains e "raw control byte 0x0a"
+    | _ -> false);
+  raw_send fd
+    (Dt_serve.Protocol.Analyze { source = src; id = None; trace_id = None; deadline_ms = None });
+  check string "the escaped request still answers" (in_process_output ())
+    (output_of (raw_recv fd));
+  raw_send fd Dt_serve.Protocol.Health;
+  let health = raw_recv fd in
+  check bool "one protocol error counted in health" true
+    (Json.member "protocol_errors" health = Some (Json.Int 1))
 
 (* --- render parity oracle --------------------------------------------- *)
 
@@ -1734,11 +1802,13 @@ let suite =
       `Quick,
       test_store_fingerprint_build );
     ("jobs clamp", `Quick, test_clamp_auto);
+    ("auto jobs: a small unit stays on domain 0", `Quick, test_auto_jobs_small_unit);
     ("server end-to-end", `Quick, test_server_end_to_end);
     ("tracing byte parity", `Quick, test_tracing_byte_parity);
     ("slow ledger end-to-end", `Quick, test_slow_ledger_end_to_end);
     ("concurrent clients", `Quick, test_concurrent_clients);
     ("oversize frame connection", `Quick, test_oversize_frame_connection);
+    ("raw control byte in a request", `Quick, test_raw_control_byte_request);
     ("render parity vs Format oracle", `Quick, test_render_parity);
     prop_dep_printer;
     ("split equals the parser's partition", `Quick, test_split_partition);
