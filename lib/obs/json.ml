@@ -118,6 +118,15 @@ let hex_digit = function
   | 'A' .. 'F' as c -> Char.code c - 55
   | _ -> -1
 
+(* the code of the four hex digits at [p], as a [\\u] escape takes them;
+   short input is an error at [p], a non-hex digit at [p + 4] *)
+let hex4 s p =
+  if p + 4 > String.length s then raise (Parse_error (p, "truncated \\u escape"));
+  let d i = hex_digit s.[p + i] in
+  let d0 = d 0 and d1 = d 1 and d2 = d 2 and d3 = d 3 in
+  if d0 lor d1 lor d2 lor d3 < 0 then raise (Parse_error (p + 4, "invalid \\u escape"));
+  (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
+
 (* The has-less-than test on the eight bytes of a word,
    [(x - 0x0101..*k) land lnot x land 0x8080..]: nonzero when some byte
    of [x] is below [k]. It is exact at the lowest such byte, so after a
@@ -137,7 +146,9 @@ let[@inline] plain8 s i =
 (* One scan of a string body from [i] to its closing quote, eight plain
    bytes at a time: the quote's index and the bytes its escapes drop (a
    two-byte escape decodes to one byte, a six-byte [\\u] escape to at
-   most three). A raw control byte is an error (RFC 8259 §7). *)
+   most three). A [\\u] escape's four hex digits are checked here, so
+   the count never covers bytes that are not there. A raw control byte
+   is an error (RFC 8259 §7). *)
 let rec scan_string s i drop =
   if i + 8 <= String.length s && plain8 s i then scan_string s (i + 8) drop
   else scan_bytes s i drop
@@ -150,8 +161,10 @@ and scan_bytes s i drop =
     | '"' -> (i, drop)
     | '\\' ->
         if i + 1 >= n then raise (Parse_error (n, "unterminated escape"))
-        else if String.unsafe_get s (i + 1) = 'u' then
-          scan_string s (i + 2) (drop + 3)
+        else if String.unsafe_get s (i + 1) = 'u' then begin
+          ignore (hex4 s (i + 2));
+          scan_string s (i + 6) (drop + 3)
+        end
         else scan_string s (i + 2) (drop + 1)
     | c when c < ' ' ->
         raise
@@ -214,14 +227,10 @@ let of_string s =
       let j = put b j (0x80 lor ((c lsr 12) land 0x3f)) in
       put b (put b j (0x80 lor ((c lsr 6) land 0x3f))) (0x80 lor (c land 0x3f))
   in
-  let hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
+  let next_hex4 () =
     let p = !pos in
     pos := p + 4;
-    let d i = hex_digit s.[p + i] in
-    let d0 = d 0 and d1 = d 1 and d2 = d 2 and d3 = d 3 in
-    if d0 lor d1 lor d2 lor d3 < 0 then fail "invalid \\u escape";
-    (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
+    hex4 s p
   in
   (* one escape, [!pos] just past its backslash, decoded at [j] of [b] *)
   let unescape b j =
@@ -235,12 +244,12 @@ let of_string s =
     | 'b' -> put b j 0x08
     | 'f' -> put b j 0x0c
     | 'u' ->
-        let c1 = hex4 () in
+        let c1 = next_hex4 () in
         if c1 >= 0xd800 && c1 <= 0xdbff && !pos + 6 <= n
            && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
         then begin
           pos := !pos + 2;
-          let c2 = hex4 () in
+          let c2 = next_hex4 () in
           if c2 >= 0xdc00 && c2 <= 0xdfff then
             utf8_of_code b j (0x10000 + ((c1 - 0xd800) lsl 10) + (c2 - 0xdc00))
           else utf8_of_code b (utf8_of_code b j c1) c2

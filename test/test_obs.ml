@@ -146,6 +146,12 @@ let json_table =
     ("\"\127\"", "\"\\127\"");
     ("\"\255\254\"", "\"\\255\\254\"");
     ("\"\\u12\"", "JSON parse error at offset 3: truncated \\u escape");
+    (* a [\u] cut short by the closing quote: the scan that sizes the
+       decoded string must not count bytes that are not there *)
+    ("\"\\u\"", "JSON parse error at offset 3: truncated \\u escape");
+    ("\"ab\\u\"", "JSON parse error at offset 5: truncated \\u escape");
+    ("{\"op\":\"\\u\"}", "JSON parse error at offset 9: truncated \\u escape");
+    ("[\"\\u\",\"abcd\"]", "JSON parse error at offset 8: invalid \\u escape");
     ("\"\\u12G4\"", "JSON parse error at offset 7: invalid \\u escape");
     (* exactly four hex digits: [int_of_string] would accept the [_] *)
     ("\"\\u1_23\"", "JSON parse error at offset 7: invalid \\u escape");
@@ -299,6 +305,28 @@ let prop_json_roundtrip =
       match Dt_obs.Json.of_string (Dt_obs.Json.to_string v) with
       | Ok v' -> json_repr v' = json_repr v
       | Error _ -> false)
+
+(* Inputs cut from the bytes the string scanner treats specially: a
+   quote, a backslash, [\u] with too few hex digits, control bytes and
+   structure. [of_string] must return, Ok or Error, never raise. *)
+let prop_json_total =
+  let gen =
+    let open QCheck.Gen in
+    let piece =
+      oneofl
+        [ "\""; "\\"; "\\u"; "\\u0"; "\\u00e"; "\\ud83d"; "\\n"; "u"; "0";
+          "a"; "F"; "G"; "{"; "}"; "["; "]"; ":"; ","; "\n"; "\000";
+          "\195\169"; "1"; "-"; "true" ]
+    in
+    map2
+      (fun quoted l -> (if quoted then "\"" else "") ^ String.concat "" l)
+      bool
+      (list_size (int_range 0 16) piece)
+  in
+  qtest ~count:2000 "json of_string returns on any input, never raises"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s ->
+      match Dt_obs.Json.of_string s with Ok _ | Error _ -> true)
 
 (* --- Metrics ----------------------------------------------------------- *)
 
@@ -1257,4 +1285,5 @@ let suite =
       test_trace_jsonl_parses;
     Alcotest.test_case "analyze emits pair spans; metrics agree" `Quick
       test_trace_analyze_verdicts;
+    prop_json_total;
   ]

@@ -1060,6 +1060,40 @@ let test_raw_control_byte_request () =
   check bool "one protocol error counted in health" true
     (Json.member "protocol_errors" health = Some (Json.Int 1))
 
+(* a [\u] escape cut short before the closing quote is bad JSON: the
+   daemon answers each such frame with a structured error, counts it,
+   and keeps serving the connection *)
+let test_truncated_unicode_escape_request () =
+  with_server ~jobs:1 @@ fun sock ->
+  let fd = raw_connect sock in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (* a daemon killed by the frame never answers: fail, do not hang *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  List.iter
+    (fun (frame, why) ->
+      Frame.write fd frame;
+      let resp = raw_recv fd in
+      check bool (frame ^ ": error response") true
+        (Json.member "ok" resp = Some (Json.Bool false));
+      check bool (frame ^ ": names the escape") true
+        (match Json.member "error" resp with
+        | Some (Json.String e) ->
+            Astring_contains.contains e "bad JSON"
+            && Astring_contains.contains e why
+        | _ -> false))
+    [
+      ({|{"op":"\u"}|}, "truncated \\u escape");
+      ({|{"op":"ab\u"}|}, "truncated \\u escape");
+      ({|{"op":"\u12"}|}, "invalid \\u escape");
+    ];
+  raw_send fd
+    (Dt_serve.Protocol.Analyze { source = src; id = None; trace_id = None; deadline_ms = None });
+  check string "the daemon still answers" (in_process_output ())
+    (output_of (raw_recv fd));
+  raw_send fd Dt_serve.Protocol.Health;
+  check bool "three protocol errors counted in health" true
+    (Json.member "protocol_errors" (raw_recv fd) = Some (Json.Int 3))
+
 (* --- render parity oracle --------------------------------------------- *)
 
 (* The answer text as the Format-based printers produced it, kept here
@@ -1818,4 +1852,7 @@ let suite =
     ("pinned memo counts on one-statement edits", `Quick, test_pinned_statement_edits);
     ("diskcache/3, /4 and /5 open cold", `Quick, test_older_schema_stores);
     ("response frame bytes = Frame.write", `Quick, test_response_frame);
+    ( "truncated \\u escape in a request",
+      `Quick,
+      test_truncated_unicode_escape_request );
   ]
