@@ -6,25 +6,29 @@
    cache live in a temporary directory that it removes. Every correctness
    check of the code it times is in tier 1; bench/micro.exe prints the
    paper's tables and the per-test bechamel timings, and bench/e2e is the
-   end-to-end benchmark. A timing is the minimum of [repeat] runs.
+   end-to-end benchmark. Each gate judges the minimum over several
+   runs.
 
    - metrics: whole-corpus per-kind and per-phase time grows by no more
      than 25% (and 10 us) over bench/obs_baseline.json. It runs first,
      in a fresh process as the baseline was recorded, and prints the
      snapshot to rebuild that baseline from before it reads it.
    - banerjee: the compiled kernel's ns per hierarchy node is at most
-     1.25x bench/banerjee_baseline.json, and it allocates at least 2x
-     fewer minor words per node than the from-scratch Reference.
+     [bj_ratio] of the from-scratch Reference's on the same queries,
+     best of [bj_rounds] alternating passes, and the kernel allocates at
+     least 2x fewer minor words per node.
    - jobs: auto mode (jobs 0) is at most 1.15x jobs 1 on the seeded
      1000-routine corpus, both through one [Analyze.run_all] and one
      routine at a time (the daemon's edit shape), best of 3 to 15
      rounds.
-   - serve: warm and disk-warm daemon passes over the corpus are each at
-     least 5x faster than the cold pass.
+   - serve: warm and disk-warm daemon passes over the corpus each take
+     at most [serve_ratio] of the same units analyzed in process the way
+     one-shot `deptest analyze` does, at jobs 1; every request and unit
+     costs its floor over [serve_rounds] passes.
    - sampling: always-on request span sampling costs at most 1.05x
      sampling-off on the warm path.
 
-   Both baselines are read before any gate result is judged, and a
+   The metrics baseline is read before its gate is judged, and a
    missing or unreadable one is fatal: no gate passes by being
    skipped. *)
 
@@ -53,21 +57,11 @@ let baseline path =
   | Ok j -> j
   | Error e -> fatal "%s is unreadable: %s" path e
 
-let banerjee_base =
-  let path = "bench/banerjee_baseline.json" in
-  let j = baseline path in
-  match Option.bind (Dt_obs.Json.member "ns_per_node" j) Dt_obs.Json.to_float with
-  | Some b -> b
-  | None -> fatal "%s has no numeric ns_per_node" path
-
-let best_ns f =
-  let best = ref infinity in
-  for _ = 1 to repeat do
-    let t0 = Dt_obs.Clock.now_ns () in
-    ignore (Sys.opaque_identity (f ()));
-    best := Float.min !best (Int64.to_float (Int64.sub (Dt_obs.Clock.now_ns ()) t0))
-  done;
-  !best
+(* the wall clock of one [f x] *)
+let ns f x =
+  let t0 = Dt_obs.Clock.now_ns () in
+  ignore (Sys.opaque_identity (f x));
+  Int64.to_float (Int64.sub (Dt_obs.Clock.now_ns ()) t0)
 
 (* --- banerjee ------------------------------------------------------- *)
 
@@ -108,47 +102,48 @@ let bj_queries =
     mk "deep7-cap" 7 ~hi_of:(const_hi 8) ~src_k:one ~snk_k:one ~delta:(-1);
   ]
 
-(* one pass renders every verdict, as the baseline's pass did *)
+(* one pass: every query's verdict, nothing else timed *)
 let bj_pass ~reference m =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (name, assume, range, pairs, ixs) ->
-      let v =
-        if reference then
-          Deptest.Banerjee.Reference.vectors ~metrics:m assume range pairs ~indices:ixs
-        else Deptest.Banerjee.vectors ~metrics:m assume range pairs ~indices:ixs
-      in
-      Buffer.add_string buf name;
-      (match v with
-      | `Independent -> Buffer.add_string buf ": independent"
-      | `Vectors vs ->
-          List.iter
-            (fun v ->
-              Buffer.add_string buf (Format.asprintf " %a" Deptest.Dirvec.pp_concrete v))
-            vs);
-      Buffer.add_char buf '\n')
-    bj_queries;
-  Buffer.contents buf
+  List.map
+    (fun (_, assume, range, pairs, ixs) ->
+      if reference then
+        Deptest.Banerjee.Reference.vectors ~metrics:m assume range pairs ~indices:ixs
+      else Deptest.Banerjee.vectors ~metrics:m assume range pairs ~indices:ixs)
+    bj_queries
 
-(* (ns per node, minor words per node) of one evaluator *)
-let bj_leg ~reference ~timed =
+(* one evaluator's pass and its node count and minor words per node *)
+let bj_leg ~reference =
   let pass () = bj_pass ~reference (Dt_obs.Metrics.create ()) in
   let m = Dt_obs.Metrics.create () in
   ignore (bj_pass ~reference m);
   let nodes =
-    Dt_obs.Metrics.banerjee_incremental_nodes m + Dt_obs.Metrics.banerjee_scratch_nodes m
+    float_of_int
+      (Dt_obs.Metrics.banerjee_incremental_nodes m
+      + Dt_obs.Metrics.banerjee_scratch_nodes m)
   in
   let w0 = Gc.minor_words () in
   ignore (pass ());
-  let words = Gc.minor_words () -. w0 in
-  let ns = if timed then best_ns pass else nan in
-  (ns /. float_of_int nodes, words /. float_of_int nodes)
+  (pass, nodes, (Gc.minor_words () -. w0) /. nodes)
+
+let bj_ratio = 0.0013
+let bj_rounds = 8
 
 let banerjee_gate () =
-  let npn, wpn = bj_leg ~reference:false ~timed:true in
-  let _, ref_wpn = bj_leg ~reference:true ~timed:false in
-  gate "banerjee" (npn <= 1.25 *. banerjee_base)
-    "%.1f ns/node, baseline %.1f (limit +25%%)" npn banerjee_base;
+  let kpass, knodes, wpn = bj_leg ~reference:false in
+  let rpass, rnodes, ref_wpn = bj_leg ~reference:true in
+  let k = ref infinity and r = ref infinity in
+  for _ = 1 to bj_rounds do
+    (* each pass starts on a collected heap: the kernel's passes never
+       pay for the Reference's garbage *)
+    Gc.full_major ();
+    k := Float.min !k (ns kpass ());
+    Gc.full_major ();
+    r := Float.min !r (ns rpass ())
+  done;
+  let npn = !k /. knodes and ref_npn = !r /. rnodes in
+  gate "banerjee" (npn <= bj_ratio *. ref_npn)
+    "%.1f ns/node, Reference %.1f (%.4fx, limit %.4fx)" npn ref_npn
+    (npn /. ref_npn) bj_ratio;
   gate "banerjee" (ref_wpn >= 2. *. wpn)
     "%.1f words/node, Reference %.1f (%.1fx, limit 2x)" wpn ref_wpn (ref_wpn /. wpn)
 
@@ -176,11 +171,6 @@ let jobs_gate () =
   in
   let one = Deptest.Analyze.Config.make ~jobs:1 ~cache:false ()
   and auto = Deptest.Analyze.Config.make ~jobs:0 ~cache:false () in
-  let ns f x =
-    let t0 = Dt_obs.Clock.now_ns () in
-    ignore (f x);
-    Int64.to_float (Int64.sub (Dt_obs.Clock.now_ns ()) t0)
-  in
   (* one round of a leg: (jobs 1 ns, auto ns) *)
   let in_one_run_all () =
     (ns (Deptest.Analyze.run_all one) progs, ns (Deptest.Analyze.run_all auto) progs)
@@ -272,20 +262,60 @@ let pass ?(traced = false) (socket, _) =
 
 let total = List.fold_left ( +. ) 0.
 
+(* each corpus unit analyzed in process as one-shot `deptest analyze`
+   does a file (parse, a fresh configuration, run_all, render), at jobs
+   1: each unit's ns *)
+let oneshot_pass () =
+  let analyze src =
+    let progs =
+      if Dt_frontend.Cfront.looks_like_c src then
+        [ Dt_frontend.Cfront.parse_and_lower src ]
+      else Dt_frontend.Lower.parse_unit src
+    in
+    Dt_serve.Render.unit_ progs
+      (Deptest.Analyze.run_all (Deptest.Analyze.Config.make ~jobs:1 ()) progs)
+  in
+  List.map
+    (fun (e : Dt_workloads.Corpus.entry) -> ns analyze e.source)
+    Dt_workloads.Corpus.all
+
+(* A cold pass fills the store. Each round then restarts the daemon on
+   it for a disk-warm pass and a warm pass, and runs the one-shot
+   pipeline once; each request and unit costs its floor over the rounds.
+   The reference does no serving and reads no store, so a change to the
+   daemon's cold path cannot move it. *)
+let serve_ratio = 0.65
+let serve_rounds = 10
+
 let serve_gate () =
   let cache_dir = Filename.concat tmp "cache" in
   let d = start_daemon ~cache_dir "serve" in
-  let cold = total (pass d) in
-  let warm = total (pass d) in
+  ignore (pass d);
   stop_daemon d;
-  let d = start_daemon ~cache_dir "serve" in
-  let disk_warm = total (pass d) in
-  stop_daemon d;
+  let floor = ref None in
+  for _ = 1 to serve_rounds do
+    let d = start_daemon ~cache_dir "serve" in
+    let disk_warm = pass d in
+    let warm = pass d in
+    stop_daemon d;
+    let round = (disk_warm, warm, oneshot_pass ()) in
+    floor :=
+      Some
+        (match !floor with
+        | None -> round
+        | Some (a, b, c) ->
+            let m = List.map2 Float.min in
+            let x, y, z = round in
+            (m a x, m b y, m c z))
+  done;
+  let disk_warm, warm, oneshot = Option.get !floor in
+  let oneshot = total oneshot in
   List.iter
     (fun (leg, ns) ->
-      gate "serve" (cold >= 5. *. ns) "%s %.2f ms vs cold %.2f ms (%.1fx, limit 5x)"
-        leg (ns /. 1e6) (cold /. 1e6) (cold /. ns))
-    [ ("warm", warm); ("disk-warm", disk_warm) ]
+      gate "serve" (ns <= serve_ratio *. oneshot)
+        "%s %.2f ms vs one-shot in process %.2f ms (%.2fx, limit %.2fx)" leg
+        (ns /. 1e6) (oneshot /. 1e6) (ns /. oneshot) serve_ratio)
+    [ ("warm", total warm); ("disk-warm", total disk_warm) ]
 
 (* Both daemons run side by side, warm passes alternate between them, and
    each request costs its floor: its minimum over the passes, with

@@ -50,12 +50,11 @@ let region_nonempty assume range i dir =
 let max_combos = 4096
 
 (* ------------------------------------------------------------------ *)
-(* per-worker scratch arena: the compiled evaluator's per-pair state
-   needs a proof memo table, a sum accumulator and four bound-compilation
-   buffers per occurring index. Renting them from a per-domain arena
-   replaces those per-pair allocations with pointer swaps once the arena
-   is warm; the arena is single-domain by construction (each engine
-   worker owns one), so no synchronization. *)
+(* per-worker scratch arena: the symbolic tier's enumeration needs a
+   proof memo table and a sum accumulator per pair. Renting them from a
+   per-domain arena replaces those per-pair allocations with pointer
+   swaps once the arena is warm; the arena is single-domain by
+   construction (each engine worker owns one), so no synchronization. *)
 
 module Scratch = struct
   type t = {
@@ -200,13 +199,19 @@ end
    constant, its [min, max] interval. The hierarchy DFS then maintains
    running lower/upper bound sums (and a symbolic-slot count) and swaps
    one slot's contribution in and out as a direction is refined, instead
-   of recombining all cross products at every node.
+   of recombining all cross products at every node. A direction's vertex
+   set is compiled when the DFS first refines a slot to it.
 
-   Two evaluation tiers, both provably byte-identical to Reference:
+   Three evaluation tiers, all provably byte-identical to Reference:
    - all-constant tier: when every selected vertex set is constant and
      diff_const is symbol-free, [Assume.prove_pos] on a symbol-free goal
      is exactly a sign check on its constant, so the full cross-product
      conjunction collapses to [lo_sum <= c <= hi_sum];
+   - one-symbol tier: when the pair's universe is one symbol N and the
+     facts bound N alone, the oracle's verdict on [a*N + k] is a
+     conjunction of at most three half-planes in (a, k), so the
+     conjunction over the cross product is decided by per-slot maxima
+     and minima of those linear forms (see [hull] below);
    - symbolic tier: enumerate the (per-slot deduplicated) cross product
      with in-place vector sums, proving each distinct sum once through a
      memo table. Deduplication cannot change a universally quantified
@@ -218,18 +223,53 @@ let code_of_dir = function
   | Some Direction.Lt -> 2
   | Some Direction.Gt -> 3
 
+(* [corner_points] per dircode, as positions in a slot's bound vectors
+   [| lo; hi; lo + 1; hi - 1 |] *)
+let corner_slots =
+  let pos = function `L -> 0 | `H -> 1 | `L1 -> 2 | `H1 -> 3 in
+  Array.map
+    (fun d ->
+      Array.of_list (List.map (fun (x, y) -> (pos x, pos y)) (corner_points d)))
+    [| None; Some Direction.Eq; Some Direction.Lt; Some Direction.Gt |]
+
 type vinfo = {
   count : int;  (* literal vertex-list length, for the combo cap *)
-  vecs : Linform.vec array;  (* deduplicated compiled vertices *)
+  vecs : Linform.vec array;  (* deduplicated compiled vertices, sorted *)
   cmin : int;  (* interval, valid when [const_only] *)
   cmax : int;
   const_only : bool;
+}
+
+(* a direction whose vertex set the DFS has not visited yet *)
+let unbuilt = { count = 0; vecs = [||]; cmin = 0; cmax = 0; const_only = false }
+
+(* The one-symbol tier. In a universe of one symbol N where every fact
+   that mentions N mentions only N ([alpha*N + beta >= 0]),
+   [Assume.prove_nonneg (a*N + k)] takes one elimination step: it holds
+   iff [k >= 0] when [a = 0], and otherwise iff some fact with alpha of
+   a's sign gives [|alpha|*k - |a|*beta >= 0]. With the tightest lower
+   fact (alpha > 0, L = -beta/alpha) and upper fact (alpha < 0,
+   U = beta/|alpha|) that reads [k + a*L >= 0] for [a > 0] and
+   [k + a*U >= 0] for [a < 0], and fails outright on a side with no
+   fact. Where L <= U the goal is provable iff (a, k) lies in every
+   half-plane [p*a + q*k >= 0] of [hull_forms]; a missing side becomes
+   a sign constraint on a. A half-plane holds for [c - s - 1] at every
+   vertex sum s iff the sum of the per-slot maxima of [p*a + q*k] over
+   the vertex sets stays within [p*c_N + q*(c_0 - 1)], and [s - c - 1]
+   holds everywhere iff the per-slot minima reach [p*c_N + q*(c_0 + 1)].
+   [ext] holds those extremes, [below] and [above] the two thresholds. *)
+type hull = {
+  forms : (int * int) array;  (* half-plane j = (p, q): p*a + q*k >= 0 *)
+  ext : int array;  (* ((slot * 4 + dircode) * nf + j) * 2: max; + 1: min *)
+  below : int array;  (* per half-plane *)
+  above : int array;
 }
 
 type state = {
   kp : Linform.pair;
   u : Linform.universe;
   c_is_const : bool;
+  bv : Linform.vec array;  (* slot k's [| lo; hi; lo + 1; hi - 1 |] at 4k *)
   vert : vinfo array array;  (* slot -> dircode -> info; [||] if unbounded *)
   dir : int array;  (* current dircode per slot; 0 = '*' *)
   unbounded : bool;  (* some occurring index has an unknown endpoint *)
@@ -237,49 +277,192 @@ type state = {
   mutable hi_sum : int;
   mutable n_sym : int;  (* slots whose current vertex set is symbolic *)
   mutable combos : int;  (* product of current literal counts *)
-  scratch : Linform.vec;  (* in-place sum accumulator, symbolic tier *)
-  prove_memo : (Linform.vec, bool * bool) Hashtbl.t;
-      (* distinct vertex sum -> (c > sum provable, sum > c provable) *)
+  hull : hull option;  (* the one-symbol tier applies *)
+  mutable enum : (Linform.vec * (Linform.vec, bool * bool) Hashtbl.t) option;
+      (* the symbolic tier's in-place sum accumulator and its memo of
+         distinct vertex sum -> (c > sum provable, sum > c provable),
+         rented on the tier's first node *)
 }
 
-let mk_vinfo ~a ~b ~lov ~hiv ~lo1v ~him1v code =
+(* polymorphic [compare]'s order on equal-length int vectors *)
+let compare_vec (x : Linform.vec) (y : Linform.vec) =
+  let n = Array.length x in
+  let rec go j =
+    if j = n then 0
+    else
+      let c = Int.compare x.(j) y.(j) in
+      if c <> 0 then c else go (j + 1)
+  in
+  go 0
+
+(* slot [k]'s vertex set under [code]: the corners sorted and
+   deduplicated in place, in [List.sort_uniq compare]'s order *)
+let mk_vinfo st k code =
+  let a = st.kp.Linform.a.(k) and b = st.kp.Linform.b.(k) in
   if code = 1 && a = b then
     (* Eq with a = b: the single zero vertex *)
     {
       count = 1;
-      vecs = [| Array.make (Array.length lov) 0 |];
+      vecs = [| Linform.zero_vec st.u |];
       cmin = 0;
       cmax = 0;
       const_only = true;
     }
   else
-    let corners =
-      match code with
-      | 1 -> [ (lov, lov); (hiv, hiv) ]
-      | 2 -> [ (lov, lo1v); (lov, hiv); (him1v, hiv) ]
-      | 3 -> [ (lo1v, lov); (hiv, lov); (hiv, him1v) ]
-      | _ -> [ (lov, lov); (lov, hiv); (hiv, lov); (hiv, hiv) ]
+    let corners = corner_slots.(code) in
+    let count = Array.length corners in
+    let vs =
+      Array.map
+        (fun (x, y) -> Linform.corner ~a ~b st.bv.((4 * k) + x) st.bv.((4 * k) + y))
+        corners
     in
-    let vs = List.map (fun (x, y) -> Linform.corner ~a ~b x y) corners in
-    let count = List.length vs in
-    let vecs = Array.of_list (List.sort_uniq compare vs) in
-    let const_only = Array.for_all Linform.is_const_vec vecs in
-    if const_only then
-      let consts = Array.map Linform.const_of_vec vecs in
-      {
-        count;
+    (* insertion sort: at most four corners, and no closure to allocate *)
+    for i = 1 to count - 1 do
+      let v = vs.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && compare_vec vs.(!j) v > 0 do
+        vs.(!j + 1) <- vs.(!j);
+        decr j
+      done;
+      vs.(!j + 1) <- v
+    done;
+    let n = ref 1 in
+    for i = 1 to count - 1 do
+      if compare_vec vs.(i) vs.(!n - 1) <> 0 then begin
+        vs.(!n) <- vs.(i);
+        incr n
+      end
+    done;
+    let vecs = if !n = count then vs else Array.sub vs 0 !n in
+    if Array.for_all Linform.is_const_vec vecs then begin
+      let c0 = Linform.const_of_vec vecs.(0) in
+      let cmin = ref c0 and cmax = ref c0 in
+      Array.iter
+        (fun v ->
+          let c = Linform.const_of_vec v in
+          if c < !cmin then cmin := c;
+          if c > !cmax then cmax := c)
         vecs;
-        cmin = Array.fold_left min consts.(0) consts;
-        cmax = Array.fold_left max consts.(0) consts;
-        const_only;
-      }
-    else { count; vecs; cmin = 0; cmax = 0; const_only }
+      { count; vecs; cmin = !cmin; cmax = !cmax; const_only = true }
+    end
+    else { count; vecs; cmin = 0; cmax = 0; const_only = false }
 
-let build_state ?metrics ?scratch range (p : Spair.t) =
+(* slot [k]'s table for [code], compiled on first use along with its
+   one-symbol extremes *)
+let table st k code =
+  let vi = st.vert.(k).(code) in
+  if vi != unbuilt then vi
+  else begin
+    let vi = mk_vinfo st k code in
+    st.vert.(k).(code) <- vi;
+    (match st.hull with
+    | None -> ()
+    | Some h ->
+        let nf = Array.length h.forms in
+        Array.iteri
+          (fun j (p, q) ->
+            let psi v = Ops.add (Ops.mul p v.(0)) (Ops.mul q v.(1)) in
+            let o = ((((k * 4) + code) * nf) + j) * 2 in
+            let first = psi vi.vecs.(0) in
+            h.ext.(o) <- first;
+            h.ext.(o + 1) <- first;
+            Array.iter
+              (fun v ->
+                let x = psi v in
+                if x > h.ext.(o) then h.ext.(o) <- x;
+                if x < h.ext.(o + 1) then h.ext.(o + 1) <- x)
+              vi.vecs)
+          h.forms);
+    vi
+  end
+
+let abs_checked x = if x < 0 then Ops.neg x else x
+
+(* The tightest lower and upper facts on [sym], each as (alpha, beta),
+   and the largest coefficient magnitude over every fact on [sym]; [None]
+   when a fact mixes [sym] with another symbol. Raises [Ops.Overflow]
+   when two facts cannot be compared exactly. *)
+let one_symbol_facts assume sym =
+  let exception Mixed in
+  let step ((lo, hi, m) as acc) f =
+    let al = Affine.sym_coeff f sym in
+    if al = 0 then acc
+    else
+      match Affine.sym_terms f with
+      | [ _ ] ->
+          let be = Affine.const_part f in
+          let m = max m (max (abs_checked al) (abs_checked be)) in
+          if al > 0 then
+            (* N >= -be/al: keep the larger bound *)
+            match lo with
+            | Some (a', b') when Ops.mul b' al <= Ops.mul be a' -> (lo, hi, m)
+            | _ -> (Some (al, be), hi, m)
+          else (
+            (* N <= be/|al|: keep the smaller bound *)
+            match hi with
+            | Some (a', b') when Ops.mul b' (-al) <= Ops.mul be (-a') ->
+                (lo, hi, m)
+            | _ -> (lo, Some (al, be), m))
+      | _ -> raise Mixed
+  in
+  match List.fold_left step (None, None, 1) (Assume.facts assume) with
+  | r -> Some r
+  | exception Mixed -> None
+
+(* The half-planes [p*a + q*k >= 0] whose conjunction is "a*N + k is
+   provably non-negative", given L <= U where both exist. *)
+let hull_forms lo hi =
+  let lower = match lo with Some (al, be) -> (Ops.neg be, al) | None -> (-1, 0)
+  and upper = match hi with Some (al, be) -> (be, Ops.neg al) | None -> (1, 0) in
+  if lo = None && hi = None then [| lower; upper; (0, 1) |] else [| lower; upper |]
+
+(* The one-symbol tier's half-planes and thresholds, or [None] where the
+   enumeration must decide: another universe or fact shape, or L > U.
+   [reach] sums, over the slots, a bound on each slot's vertex
+   components; S adds |c| + 1 to it. The guard: with M the largest
+   coefficient of a fact on N, every sum this tier forms and every goal
+   the enumeration would hand to the oracle stays within 4*M*S. Where
+   that product is representable
+   neither side can overflow, so an overflow degrades exactly as the
+   enumeration does. *)
+let build_hull assume u (kp : Linform.pair) ~nslots ~reach =
+  match Linform.universe_syms u with
+  | [ sym ] -> (
+      let cn = Affine.sym_coeff kp.Linform.c sym
+      and c0 = Affine.const_part kp.Linform.c in
+      match
+        match one_symbol_facts assume sym with
+        | None -> None
+        | Some (lo, hi, m) ->
+            let s = Ops.add reach (Ops.add (max (abs_checked cn) (abs_checked c0)) 1) in
+            ignore (Ops.mul 4 (Ops.mul m s));
+            let ordered =
+              match (lo, hi) with
+              | Some (la, lb), Some (ua, ub) ->
+                  (* -lb/la <= ub/|ua| *)
+                  Ops.add (Ops.mul ub la) (Ops.mul lb (Ops.neg ua)) >= 0
+              | _ -> true
+            in
+            if ordered then Some (hull_forms lo hi) else None
+      with
+      | None | (exception Ops.Overflow) -> None
+      | Some forms ->
+          let at k = Array.map (fun (p, q) -> (p * cn) + (q * k)) forms in
+          Some
+            {
+              forms;
+              ext = Array.make (nslots * 4 * Array.length forms * 2) 0;
+              below = at (c0 - 1);
+              above = at (c0 + 1);
+            })
+  | _ -> None
+
+let build_state ?metrics assume range (p : Spair.t) =
   let kp = Spair.kernel p in
   (match metrics with
   | Some m -> Dt_obs.Metrics.banerjee_compile m
   | None -> ());
+  let n = Array.length kp.Linform.indices in
   let bounds =
     Array.map
       (fun i ->
@@ -296,66 +479,74 @@ let build_state ?metrics ?scratch range (p : Spair.t) =
     bounds;
   let u = Linform.universe !syms in
   let vlen = Linform.universe_size u + 1 in
-  let rent () =
-    match scratch with
-    | Some s -> Scratch.rent_vec s vlen
-    | None -> Array.make vlen 0
-  in
-  let return_v v =
-    match scratch with Some s -> Scratch.return_vec s v | None -> ()
-  in
   let unbounded = ref false in
-  let vert =
-    Array.mapi
-      (fun k bnd ->
-        match bnd with
-        | Some lo, Some hi ->
-            (* the four bound vectors are pure compilation temporaries:
-               [mk_vinfo] derives fresh corner vectors from them, so they
-               go straight back to the arena *)
-            let lov = rent () and hiv = rent () in
-            Linform.compile_into u lo lov;
-            Linform.compile_into u hi hiv;
-            let lo1v = rent () and him1v = rent () in
-            Array.blit lov 0 lo1v 0 vlen;
-            Array.blit hiv 0 him1v 0 vlen;
-            Linform.add_const_into 1 lo1v;
-            Linform.add_const_into (-1) him1v;
-            let a = kp.Linform.a.(k) and b = kp.Linform.b.(k) in
-            let tbl = Array.init 4 (mk_vinfo ~a ~b ~lov ~hiv ~lo1v ~him1v) in
-            return_v lov;
-            return_v hiv;
-            return_v lo1v;
-            return_v him1v;
-            tbl
-        | _ ->
-            unbounded := true;
-            [||])
-      bounds
+  let bv = Array.make (4 * n) [||] in
+  Array.iteri
+    (fun k bnd ->
+      match bnd with
+      | Some lo, Some hi ->
+          let lov = Linform.compile u lo and hiv = Linform.compile u hi in
+          bv.(4 * k) <- lov;
+          bv.((4 * k) + 1) <- hiv;
+          bv.((4 * k) + 2) <- Linform.add_const_vec 1 lov;
+          bv.((4 * k) + 3) <- Linform.add_const_vec (-1) hiv
+      | _ -> unbounded := true)
+    bounds;
+  (* [reach] bounds |a*x - b*y| over every corner of every bounded slot:
+     where it is representable no corner can overflow, so compiling a
+     direction on first use raises nowhere the eager compilation of all
+     four would not have *)
+  let reach =
+    let r = ref 0 in
+    match
+      for k = 0 to n - 1 do
+        if Array.length bv.(4 * k) > 0 then begin
+          let mag = ref 0 in
+          for j = 0 to vlen - 1 do
+            mag := max !mag (abs_checked bv.(4 * k).(j));
+            mag := max !mag (abs_checked bv.((4 * k) + 1).(j))
+          done;
+          let a = abs_checked kp.Linform.a.(k) and b = abs_checked kp.Linform.b.(k) in
+          r := Ops.add !r (Ops.mul (Ops.add a b) (Ops.add !mag 1))
+        end
+      done
+    with
+    | () -> Some !r
+    | exception Ops.Overflow -> None
   in
   let st =
     {
       kp;
       u;
       c_is_const = Affine.is_const kp.Linform.c;
-      vert;
-      dir = Array.make (Array.length kp.Linform.indices) 0;
+      bv;
+      vert =
+        Array.init n (fun k ->
+            if Array.length bv.(4 * k) = 0 then [||] else Array.make 4 unbuilt);
+      dir = Array.make n 0;
       unbounded = !unbounded;
       lo_sum = 0;
       hi_sum = 0;
       n_sym = 0;
       combos = 1;
-      scratch = rent ();
-      prove_memo =
-        (match scratch with
-        | Some s -> Scratch.rent_table s
-        | None -> Hashtbl.create 64);
+      hull =
+        (match reach with
+        | Some reach when not !unbounded ->
+            build_hull assume u kp ~nslots:n ~reach
+        | _ -> None);
+      enum = None;
     }
   in
-  Array.iter
-    (fun tbl ->
+  (* past that bound, compile every direction now: that is where an
+     overflow was always raised *)
+  if reach = None then
+    Array.iteri
+      (fun k tbl -> Array.iteri (fun code _ -> ignore (table st k code)) tbl)
+      st.vert;
+  Array.iteri
+    (fun k tbl ->
       if Array.length tbl > 0 then begin
-        let vi = tbl.(0) in
+        let vi = table st k 0 in
         st.combos <- Ops.mul st.combos vi.count;
         if vi.const_only then begin
           st.lo_sum <- Ops.add st.lo_sum vi.cmin;
@@ -363,18 +554,19 @@ let build_state ?metrics ?scratch range (p : Spair.t) =
         end
         else st.n_sym <- st.n_sym + 1
       end)
-    vert;
+    st.vert;
   st
 
 (* The incremental step: swap slot [k]'s contribution from its current
    direction to [code] by subtracting the old interval / symbolic mark
-   and adding the new one. O(1), no allocation. *)
+   and adding the new one. O(1), no allocation once the direction is
+   compiled. *)
 let set_dir st k code =
   if st.dir.(k) <> code then
     if Array.length st.vert.(k) = 0 then st.dir.(k) <- code
     else begin
       let old = st.vert.(k).(st.dir.(k)) in
-      let nw = st.vert.(k).(code) in
+      let nw = table st k code in
       st.combos <- Ops.mul (st.combos / old.count) nw.count;
       (if old.const_only then begin
          st.lo_sum <- Ops.sub st.lo_sum old.cmin;
@@ -390,35 +582,72 @@ let set_dir st k code =
     end
 
 (* gcd has no inverse, so the directed GCD is re-folded per node over the
-   precomputed per-slot values — an allocation-free int loop. *)
-let directed_gcd st =
+   precomputed per-slot values — an allocation-free int loop, which stops
+   once the gcd is 1. Every gcd divides 0. *)
+let directed_gcd_divides st =
   let kp = st.kp in
-  let g = ref 0 in
-  for k = 0 to Array.length kp.Linform.indices - 1 do
+  let c = kp.Linform.c_const in
+  c = 0
+  ||
+  let n = Array.length kp.Linform.indices in
+  let g = ref kp.Linform.c_sym_gcd and k = ref 0 in
+  while !g <> 1 && !k < n do
     g :=
       Int_ops.gcd !g
-        (if st.dir.(k) = 1 then kp.Linform.diff_eq.(k)
-         else kp.Linform.gcd_star.(k))
+        (if st.dir.(!k) = 1 then kp.Linform.diff_eq.(!k)
+         else kp.Linform.gcd_star.(!k));
+    incr k
   done;
-  Int_ops.gcd !g kp.Linform.c_sym_gcd
+  Int_ops.divides !g c
 
-let symbolic_feasible assume st =
+(* The one-symbol tier: O(slots) integer adds per half-plane, no
+   enumeration and no oracle call. *)
+let hull_feasible h st =
+  let n = Array.length st.dir and nf = Array.length h.forms in
+  let below = ref true and above = ref true and j = ref 0 in
+  while (!below || !above) && !j < nf do
+    let smax = ref 0 and smin = ref 0 in
+    for k = 0 to n - 1 do
+      let o = ((((k * 4) + st.dir.(k)) * nf) + !j) * 2 in
+      smax := Ops.add !smax h.ext.(o);
+      smin := Ops.add !smin h.ext.(o + 1)
+    done;
+    if !smax > h.below.(!j) then below := false;
+    if !smin < h.above.(!j) then above := false;
+    incr j
+  done;
+  not (!below || !above)
+
+let symbolic_feasible ?scratch assume st =
+  let sum, memo =
+    match st.enum with
+    | Some e -> e
+    | None ->
+        let len = Linform.universe_size st.u + 1 in
+        let e =
+          match scratch with
+          | Some s -> (Scratch.rent_vec s len, Scratch.rent_table s)
+          | None -> (Array.make len 0, Hashtbl.create 64)
+        in
+        st.enum <- Some e;
+        e
+  in
   let all_below = ref true and all_above = ref true in
   let n = Array.length st.kp.Linform.indices in
-  Array.fill st.scratch 0 (Array.length st.scratch) 0;
+  Array.fill sum 0 (Array.length sum) 0;
   let exception Early in
   let check () =
     let below, above =
-      match Hashtbl.find_opt st.prove_memo st.scratch with
+      match Hashtbl.find_opt memo sum with
       | Some r -> r
       | None ->
-          let s = Linform.to_affine st.u st.scratch in
+          let s = Linform.to_affine st.u sum in
           let c = st.kp.Linform.c in
           let r =
             ( Assume.prove_pos assume (Affine.sub c s),
               Assume.prove_pos assume (Affine.sub s c) )
           in
-          Hashtbl.add st.prove_memo (Array.copy st.scratch) r;
+          Hashtbl.add memo (Array.copy sum) r;
           r
     in
     if not below then all_below := false;
@@ -430,22 +659,21 @@ let symbolic_feasible assume st =
     else
       Array.iter
         (fun v ->
-          Linform.add_into st.scratch v;
+          Linform.add_into sum v;
           go (k + 1);
-          Linform.sub_into st.scratch v)
+          Linform.sub_into sum v)
         st.vert.(k).(st.dir.(k)).vecs
   in
   (try go 0 with Early -> ());
   not (!all_below || !all_above)
 
-let eval_state ?metrics ?sink ?budget ~from_scratch assume st =
+let eval_state ?scratch ?metrics ?sink ?budget ~from_scratch assume st =
   Dt_guard.Inject.hit inject_node;
   Dt_guard.Budget.charge budget 1;
   (match metrics with
   | Some m -> Dt_obs.Metrics.banerjee_node m ~incremental:(not from_scratch)
   | None -> ());
-  let g = directed_gcd st in
-  if not (Int_ops.divides g st.kp.Linform.c_const) then false
+  if not (directed_gcd_divides st) then false
   else if st.unbounded then true
   else if st.combos > max_combos then begin
     (match metrics with
@@ -466,18 +694,21 @@ let eval_state ?metrics ?sink ?budget ~from_scratch assume st =
     (* all-constant tier: the bracket is a concrete interval *)
     let c = st.kp.Linform.c_const in
     c >= st.lo_sum && c <= st.hi_sum
-  else symbolic_feasible assume st
+  else
+    match st.hull with
+    | Some h -> hull_feasible h st
+    | None -> symbolic_feasible ?scratch assume st
 
 (* hand a state's rented buffers back to the arena (no-op without one) *)
 let release_state scratch st =
-  match scratch with
-  | None -> ()
-  | Some s ->
-      Scratch.return_vec s st.scratch;
-      Scratch.return_table s st.prove_memo
+  match (scratch, st.enum) with
+  | Some s, Some (sum, memo) ->
+      Scratch.return_vec s sum;
+      Scratch.return_table s memo
+  | _ -> ()
 
 let feasible ?scratch ?metrics ?sink ?budget assume range (p : Spair.t) ~dirs =
-  let st = build_state ?metrics ?scratch range p in
+  let st = build_state ?metrics assume range p in
   Fun.protect ~finally:(fun () -> release_state scratch st) @@ fun () ->
   (* the first binding of an index wins, as List.find_opt did *)
   let seen = ref [] in
@@ -490,14 +721,14 @@ let feasible ?scratch ?metrics ?sink ?budget assume range (p : Spair.t) ~dirs =
         | None -> ()
       end)
     dirs;
-  eval_state ?metrics ?sink ?budget ~from_scratch:true assume st
+  eval_state ?scratch ?metrics ?sink ?budget ~from_scratch:true assume st
 
 let vectors ?scratch ?metrics ?sink ?spans ?budget assume range pairs ~indices =
   Dt_obs.Span.with_ spans Dt_obs.Span.Banerjee @@ fun () ->
   let states =
     List.map
       (fun p ->
-        let st = build_state ?metrics ?scratch range p in
+        let st = build_state ?metrics assume range p in
         let slots = Array.of_list (List.map (Linform.slot st.kp) indices) in
         (st, slots))
       pairs
@@ -522,7 +753,8 @@ let vectors ?scratch ?metrics ?sink ?spans ?budget assume range pairs ~indices =
   let feasible_all () =
     List.for_all
       (fun (st, _) ->
-        eval_state ?metrics ?sink ?budget ~from_scratch:false assume st)
+        eval_state ?scratch ?metrics ?sink ?budget ~from_scratch:false assume
+          st)
       states
   in
   let set_all k code =

@@ -19,15 +19,18 @@
     per pair, each index's vertex set is compiled once per direction into
     flat {!Dt_ir.Linform} vectors, and refining one index swaps its
     contribution in and out of running bound sums instead of recombining
-    the whole cross product (DESIGN.md §8). The verdicts are byte-identical
-    to the from-scratch evaluator, which is kept as {!Reference}. *)
+    the whole cross product (DESIGN.md §8). A symbolic node over one
+    symbol whose facts bound it alone is decided by per-slot extremes of
+    the sign oracle's half-planes, without enumerating vertex sums
+    (DESIGN.md §4). The verdicts are byte-identical to the from-scratch
+    evaluator, which is kept as {!Reference}. *)
 
 open Dt_ir
 
-(** A per-worker scratch arena for the compiled evaluator: proof memo
-    tables and vertex/bound vectors are rented per pair and returned
-    when the query finishes, so a long testing loop stops allocating
-    once the arena is warm. Single-domain by design — the engine gives
+(** A per-worker scratch arena for the compiled evaluator: the
+    symbolic enumeration's proof memo table and sum vector are rented
+    per pair and returned when the query finishes, so a long testing
+    loop stops allocating them once the arena is warm. Single-domain by design — the engine gives
     each worker its own; never share one across domains. *)
 module Scratch : sig
   type t
@@ -79,8 +82,8 @@ val vectors :
     order), or [`Independent] when none survive.
 
     One kernel compilation per pair (counted in [metrics]), then O(1)
-    contribution swaps per hierarchy node, with per-pair buffers rented
-    from [scratch] when given. [sink] receives a note per combo-cap
+    contribution swaps per hierarchy node, with the enumeration's
+    buffers rented from [scratch] when given. [sink] receives a note per combo-cap
     fallback; [spans] brackets the whole hierarchy walk as one
     {!Dt_obs.Span.Banerjee} timeline span. *)
 

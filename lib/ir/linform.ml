@@ -35,23 +35,17 @@ type vec = int array
 
 let zero_vec u = Array.make (Array.length u.syms + 1) 0
 
-let compile_into u (e : Affine.t) (v : vec) =
+let compile u (e : Affine.t) =
   if Affine.index_terms e <> [] then
     invalid_arg "Linform.compile: affine has index terms";
-  if Array.length v <> Array.length u.syms + 1 then
-    invalid_arg "Linform.compile_into: vector length mismatch";
-  Array.fill v 0 (Array.length v) 0;
+  let v = zero_vec u in
   List.iter
     (fun (s, k) ->
       match sym_slot u s with
       | Some j -> v.(j) <- k
       | None -> invalid_arg ("Linform.compile: symbol outside universe: " ^ s))
     (Affine.sym_terms e);
-  v.(Array.length u.syms) <- Affine.const_part e
-
-let compile u (e : Affine.t) =
-  let v = zero_vec u in
-  compile_into u e v;
+  v.(Array.length u.syms) <- Affine.const_part e;
   v
 
 let to_affine u (v : vec) =
@@ -76,13 +70,10 @@ let corner ~a ~b (x : vec) (y : vec) =
   Dt_guard.Inject.hit inject_corner;
   Array.init (Array.length x) (fun j -> Ops.sub (Ops.mul a x.(j)) (Ops.mul b y.(j)))
 
-let add_const_into k (v : vec) =
-  let last = Array.length v - 1 in
-  v.(last) <- Ops.add v.(last) k
-
 let add_const_vec k (v : vec) =
   let w = Array.copy v in
-  add_const_into k w;
+  let last = Array.length w - 1 in
+  w.(last) <- Ops.add w.(last) k;
   w
 
 let is_const_vec (v : vec) =

@@ -38,12 +38,6 @@ val compile : universe -> Affine.t -> vec
 (** Compile an index-free affine whose symbols are all interned.
     @raise Invalid_argument on index terms or unknown symbols. *)
 
-val compile_into : universe -> Affine.t -> vec -> unit
-(** As {!compile}, into a caller-provided vector (zeroed first) — the
-    allocation-free variant for arena-managed scratch buffers.
-    @raise Invalid_argument also when the vector length does not match
-    the universe. *)
-
 val to_affine : universe -> vec -> Affine.t
 (** Inverse of {!compile} (zero slots are dropped, as {!Affine.make}
     normalizes). *)
@@ -59,9 +53,6 @@ val corner : a:int -> b:int -> vec -> vec -> vec
 
 val add_const_vec : int -> vec -> vec
 (** Fresh vector with the constant slot shifted. *)
-
-val add_const_into : int -> vec -> unit
-(** Shift the constant slot in place (overflow-checked). *)
 
 val is_const_vec : vec -> bool
 (** All symbol slots zero. *)

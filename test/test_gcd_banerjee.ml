@@ -242,6 +242,155 @@ let prop_incremental_parity =
              = Deptest.Banerjee.Reference.feasible assume range p ~dirs)
            (all_dir_assignments indices))
 
+(* Symbolic universes past [gen_parity_case]: N as a lower bound as well
+   as an upper one, extra facts (an upper bound on N, several lower
+   bounds, a fact mixing N with M, a contradictory pair L > U, a fact
+   without N), a second symbol M in bounds and subscripts, and, in one
+   case of six, magnitudes near [max_int]. The case records whether its
+   universe is N alone with every fact on one symbol: only then does
+   the one-symbol tier decide its nodes. *)
+type sym_case = {
+  sp : Spair.t;
+  sloops : Loop.t list;
+  facts : Affine.t list;  (* added to the loop facts *)
+  one_symbol : bool;
+  huge : bool;
+}
+
+let gen_symbolic_case =
+  let n = Affine.of_sym "N" and m = Affine.of_sym "M" in
+  QCheck.make
+    ~print:(fun c ->
+      Format.asprintf "%a under %a with %a" Spair.pp c.sp
+        (Format.pp_print_list Loop.pp)
+        c.sloops
+        (Format.pp_print_list (fun ppf f -> Format.fprintf ppf "%a >= 0" Affine.pp f))
+        c.facts)
+    (QCheck.Gen.map
+       (fun seed ->
+         let st = Random.State.make [| seed |] in
+         let ri lo hi = lo + Random.State.int st (hi - lo + 1) in
+         let huge = ri 0 5 = 0 in
+         let uses_m = ref false in
+         (* a magnitude: small, or within a factor 64 of max_int *)
+         let mag lo hi =
+           if huge && ri 0 3 = 0 then
+             (if ri 0 1 = 0 then 1 else -1) * (max_int / ri 1 64)
+           else ri lo hi
+         in
+         let sym_m () =
+           uses_m := true;
+           m
+         in
+         let depth = ri 1 3 in
+         let idxs = [ i0; j1; k2 ] in
+         let rec mk_loops k outer =
+           if k = depth then []
+           else
+             let i = List.nth idxs k in
+             let lo =
+               match ri 0 4 with
+               | 0 -> Affine.add_const (ri (-2) 1) n
+               | 1 -> Affine.add_const (mag 1 2) (Affine.const 0)
+               | _ -> Affine.const (ri 1 2)
+             in
+             let hi =
+               match ri 0 6 with
+               | 0 when outer <> None ->
+                   Affine.add_const (-1) (Affine.of_index (Option.get outer))
+               | 1 | 2 -> n
+               | 3 -> Affine.add_const (ri 1 6) n
+               | 4 when ri 0 3 = 0 -> sym_m ()
+               | _ -> Affine.const (mag 3 8)
+             in
+             loop_aff i ~lo ~hi :: mk_loops (k + 1) (Some i)
+         in
+         let sloops = mk_loops 0 None in
+         let side () =
+           let base =
+             List.fold_left
+               (fun acc i -> Affine.add acc (av ~k:(mag (-3) 3) i))
+               (Affine.const (mag (-9) 9))
+               (List.filteri (fun k _ -> k < depth) idxs)
+           in
+           let base =
+             if ri 0 2 = 0 then Affine.add base (Affine.scale (ri (-2) 2) n)
+             else base
+           in
+           if ri 0 9 = 0 then Affine.add base (sym_m ()) else base
+         in
+         let sp = spair (side ()) (side ()) in
+         let mixed = ref false in
+         let fact () =
+           match ri 0 7 with
+           | 0 -> Affine.sub (Affine.const (ri 3 12)) (Affine.scale (ri 1 2) n)
+           | 1 | 2 -> Affine.add_const (- ri 0 6) (Affine.scale (ri 1 3) n)
+           | 3 ->
+               mixed := true;
+               Affine.sub n m
+           | 4 -> Affine.add_const (-1) m
+           | 5 -> Affine.add_const (mag (-3) 3) (Affine.scale (mag 1 3) n)
+           | _ -> Affine.sub (Affine.const (mag 3 12)) n
+         in
+         let facts =
+           List.init (ri 0 3) (fun _ -> fact ())
+           @
+           if ri 0 7 = 0 then
+             (* L > U *)
+             [ Affine.add_const (-10) n; Affine.sub (Affine.const 5) n ]
+           else []
+         in
+         { sp; sloops; facts; one_symbol = not (!uses_m || !mixed); huge })
+       QCheck.Gen.int)
+
+let sym_ctx c extra =
+  let assume, range = siv_ctx c.sloops in
+  (List.fold_left Deptest.Assume.add_nonneg assume (c.facts @ extra), range)
+
+(* a verdict, or [None] where the evaluator overflowed: the pair then
+   degrades *)
+let outcome f = match f () with v -> Some v | exception Dt_guard.Ops.Overflow -> None
+
+(* Exactness of the one-symbol tier. Small cases must equal Reference.
+   Near max_int, verdicts that both evaluators reach must agree, and the
+   compiled evaluator must behave, overflow included, as its own
+   enumeration does: a fact [N - Z >= 0] with Z fresh routes every node
+   to the enumeration and cannot change what the oracle proves about a
+   goal over N (eliminating N through it leaves [k + a*Z] with no fact
+   to eliminate Z), and with every fact on one symbol, no proof takes
+   more than one step, so the extra search depth it buys is never
+   used. A case whose loop facts or ranges themselves overflow has no
+   query to compare: the driver degrades its pairs before any test. *)
+let prop_one_symbol_exact =
+  qtest ~count:1000 "one-symbol tier equals Reference and enumeration"
+    gen_symbolic_case (fun c ->
+      match
+        ( sym_ctx c [],
+          fst (sym_ctx c [ Affine.sub (Affine.of_sym "N") (Affine.of_sym "Z") ]) )
+      with
+      | exception Dt_guard.Ops.Overflow -> true
+      | (assume, range), forced ->
+          let indices = List.map (fun (l : Loop.t) -> l.Loop.index) c.sloops in
+          let agree x y =
+            if c.huge then match (x, y) with Some a, Some b -> a = b | _ -> true
+            else x = y
+          in
+          let check kernel reference =
+            let k = outcome (kernel assume) in
+            agree k (outcome reference)
+            && ((not c.one_symbol) || k = outcome (kernel forced))
+          in
+          check
+            (fun a () -> Deptest.Banerjee.vectors a range [ c.sp ] ~indices)
+            (fun () -> Deptest.Banerjee.Reference.vectors assume range [ c.sp ] ~indices)
+          && List.for_all
+               (fun dirs ->
+                 check
+                   (fun a () -> Deptest.Banerjee.feasible a range c.sp ~dirs)
+                   (fun () ->
+                     Deptest.Banerjee.Reference.feasible assume range c.sp ~dirs))
+               (all_dir_assignments indices))
+
 let test_combo_cap () =
   (* seven coupled indices, all '*': 4^7 literal combinations exceed
      max_combos, so the evaluator assumes feasibility — now with a
@@ -337,6 +486,7 @@ let suite =
     Alcotest.test_case "symbolic Banerjee" `Quick test_banerjee_symbolic;
     Alcotest.test_case "Banerjee soundness exhaustive" `Slow test_banerjee_exhaustive;
     prop_incremental_parity;
+    prop_one_symbol_exact;
     Alcotest.test_case "combo cap observable" `Quick test_combo_cap;
     Alcotest.test_case "below-cap bound check exact" `Quick test_below_cap_exact;
     Alcotest.test_case "corpus byte parity vs Reference" `Quick
